@@ -210,35 +210,16 @@ fi
 if [ "$run_tenants" = 1 ]; then
     # Multi-tenant gate: the consolidated-server mix across the
     # scheme roster x switch policies. --no-cache like the battery: a
-    # cached verdict must never green-light a broken scheme. The
-    # verdict itself lives in the JSON: Baseline must show a
-    # cross-tenant transmit (the battery is armed) and every dataflow
-    # scheme must show none; DoM is sandboxing-only and exempt.
+    # cached verdict must never green-light a broken scheme. sbsim
+    # owns the verdict (tenantVerdict, src/harness/tenant.hh) and
+    # exits 1 unless the Baseline shows a cross-tenant transmit (the
+    # battery is armed) and every dataflow scheme shows none; DoM is
+    # sandboxing-only and exempt.
     if (cd "$build_dir" \
-        && ./sbsim run multi_tenant --no-cache > /dev/null) \
-       && python3 - "$build_dir/SBSIM_multi_tenant_summary.json" <<'EOF'
-import json, sys
-cells = json.load(open(sys.argv[1]))["cells"]
-dataflow = {"STT-Rename", "STT-Issue", "NDA", "NDA-Strict", "DelayAll"}
-baseline_leaks = any(c["cross_tenant_violations"] > 0
-                     for c in cells if c["scheme"] == "Baseline")
-dataflow_leaks = [c for c in cells
-                  if c["scheme"] in dataflow
-                  and c["cross_tenant_violations"] > 0]
-ok = baseline_leaks and not dataflow_leaks
-if not baseline_leaks:
-    print("tenant gate: Baseline showed no cross-tenant transmit "
-          "(battery disarmed)", file=sys.stderr)
-for c in dataflow_leaks:
-    print(f"tenant gate: {c['scheme']} leaked "
-          f"({c['cross_tenant_violations']} violations)",
-          file=sys.stderr)
-sys.exit(0 if ok else 1)
-EOF
-    then
+        && ./sbsim run multi_tenant --no-cache > sbsim_multi_tenant.log); then
         echo "multi-tenant report: $build_dir/SBSIM_multi_tenant_summary.json"
     else
-        echo "FAIL: multi-tenant cross-domain gate" >&2
+        echo "FAIL: multi-tenant cross-domain gate (log: $build_dir/sbsim_multi_tenant.log)" >&2
         status=1
     fi
 fi

@@ -76,6 +76,8 @@ ContractShadow::onAllocate(PhysReg reg)
 void
 ContractShadow::onLoadValue(const DynInst &load, SeqNum forward_source)
 {
+    if (!active)
+        return;
     Label label;
     if (forward_source != invalidSeqNum) {
         // Store-to-load forwarding: the value never touched memory;
@@ -93,27 +95,35 @@ ContractShadow::onLoadValue(const DynInst &load, SeqNum forward_source)
 void
 ContractShadow::onLoadData(const DynInst &load, bool still_speculative)
 {
-    Label label;
-    auto it = pendingLoads.find(load.seq);
-    if (it != pendingLoads.end()) {
-        label = it->second;
-        pendingLoads.erase(it);
+    Label captured;
+    if (active) {
+        auto it = pendingLoads.find(load.seq);
+        if (it != pendingLoads.end()) {
+            captured = it->second;
+            pendingLoads.erase(it);
+        }
     }
     if (load.pdst == invalidPhysReg)
+        return;
+    Label &dst = regs[load.pdst];
+    const SeqNum spec_root = still_speculative ? load.seq : invalidSeqNum;
+    dst.taintRoot = spec_root;
+    dst.producerLoad = spec_root;
+    if (!active)
         return;
     // The load itself is the youngest point the secret crossed the
     // sandbox boundary; once the load is bound to commit the access
     // is architecturally sanctioned and only the constant-time
     // contract still cares about the label.
-    label.root = (label.secret && still_speculative) ? load.seq
-                                                     : invalidSeqNum;
-    regs[load.pdst] = label;
+    dst.secret = captured.secret;
+    dst.owner = captured.owner;
+    dst.secretRoot = captured.secret ? spec_root : invalidSeqNum;
 }
 
 void
 ContractShadow::onStoreData(const DynInst &store)
 {
-    if (!store.uop.hasSrc2())
+    if (!active || !store.uop.hasSrc2())
         return;
     storeData[store.seq] = regs[store.psrc2];
 }
@@ -121,6 +131,8 @@ ContractShadow::onStoreData(const DynInst &store)
 void
 ContractShadow::onStoreCommit(const DynInst &store)
 {
+    if (!active)
+        return;
     Label label;
     auto it = storeData.find(store.seq);
     if (it != storeData.end()) {
@@ -131,19 +143,15 @@ ContractShadow::onStoreCommit(const DynInst &store)
         setMemSecret(store.effAddr, label.secret, label.owner);
 }
 
-SeqNum
-ContractShadow::liveRoot(PhysReg reg, SeqNum vp) const
-{
-    const Label &label = regs[reg];
-    if (label.secret && label.root != invalidSeqNum && label.root > vp)
-        return label.root;
-    return invalidSeqNum;
-}
-
 void
 ContractShadow::onConsume(const DynInst &inst, Cycle now, SeqNum vp,
                           bool use_src1, bool use_src2, bool transmits)
 {
+    // Obligation half: the youngest live taint root over all sources,
+    // and whether any source came straight from a speculative load.
+    SeqNum taint = invalidSeqNum;
+    bool spec_producer = false;
+    // Contract half: the secret label joined over secret sources.
     bool secret = false;
     SeqNum root = invalidSeqNum;
     TenantId owner = 0;
@@ -151,11 +159,17 @@ ContractShadow::onConsume(const DynInst &inst, Cycle now, SeqNum vp,
     auto check_src = [&](PhysReg reg) {
         if (reg == invalidPhysReg)
             return;
-        if (!regs[reg].secret)
+        const Label &label = regs[reg];
+        const SeqNum t = liveRoot(label.taintRoot, vp);
+        if (t != invalidSeqNum && (taint == invalidSeqNum || t > taint))
+            taint = t;
+        if (liveRoot(label.producerLoad, vp) != invalidSeqNum)
+            spec_producer = true;
+        if (!active || !label.secret)
             return;
         secret = true;
-        owner = regs[reg].owner;
-        const SeqNum r = liveRoot(reg, vp);
+        owner = label.owner;
+        const SeqNum r = liveRoot(label.secretRoot, vp);
         if (r != invalidSeqNum && (root == invalidSeqNum || r > root))
             root = r;
     };
@@ -164,6 +178,11 @@ ContractShadow::onConsume(const DynInst &inst, Cycle now, SeqNum vp,
         check_src(inst.psrc1);
     if (use_src2 && inst.uop.hasSrc2())
         check_src(inst.psrc2);
+
+    if (spec_producer)
+        ++consumeViol;
+    if (transmits && taint != invalidSeqNum)
+        ++transmitViol;
 
     if (transmits && secret) {
         // Constant-time (ProSpeCT): a secret operand reached a
@@ -192,15 +211,22 @@ ContractShadow::onConsume(const DynInst &inst, Cycle now, SeqNum vp,
     // handled in onLoadData, which overwrites with the load's own
     // label).
     if (inst.pdst != invalidPhysReg && !inst.isLoad()) {
-        regs[inst.pdst].secret = secret;
-        regs[inst.pdst].root = root;
-        regs[inst.pdst].owner = owner;
+        Label &dst = regs[inst.pdst];
+        dst.taintRoot = taint;
+        dst.producerLoad = invalidSeqNum;
+        if (active) {
+            dst.secret = secret;
+            dst.secretRoot = root;
+            dst.owner = owner;
+        }
     }
 }
 
 void
 ContractShadow::onSquash(SeqNum youngest_surviving)
 {
+    if (!active)
+        return;
     auto purge = [&](std::unordered_map<SeqNum, Label> &map) {
         for (auto it = map.begin(); it != map.end();) {
             if (it->first > youngest_surviving)
@@ -221,21 +247,6 @@ ContractShadow::onArchTransmit(std::uint32_t pc, bool secret_operand)
     ++ctViol;
     if (!firstCt.valid())
         firstCt = {0, 0, pc};
-}
-
-void
-ContractShadow::reset()
-{
-    for (auto &r : regs)
-        r = Label{};
-    pendingLoads.clear();
-    storeData.clear();
-    sandboxViol = 0;
-    ctViol = 0;
-    crossTenantViol = 0;
-    firstSandbox = ContractViolation{};
-    firstCt = ContractViolation{};
-    firstCrossTenant = ContractViolation{};
 }
 
 } // namespace sb

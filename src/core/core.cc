@@ -18,7 +18,6 @@ Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
       mem(config),
       predictor(10),
       renameMap(numArchRegs, config.numPhysRegs),
-      secMonitor(config.numPhysRegs),
       cshadow(config.numPhysRegs),
       workingMem(prog.memory),
       // Exact by construction: a live record is in the fetch queue,
@@ -427,8 +426,7 @@ Core::commitPhase()
 
         if (inst.isStore()) {
             lsu.markStoreCommitted(inst);
-            if (cshadow.on())
-                cshadow.onStoreCommit(inst);
+            cshadow.onStoreCommit(inst);
         }
         if (inst.isLoad()) {
             lsu.releaseLoad(inst);
@@ -535,9 +533,7 @@ Core::writebackPhase()
         if (inst->isLoad()) {
             const bool still_spec = shadows.isSpeculative(inst->seq);
             inst->specAtComplete = still_spec;
-            secMonitor.onLoadData(*inst, still_spec);
-            if (cshadow.on())
-                cshadow.onLoadData(*inst, still_spec);
+            cshadow.onLoadData(*inst, still_spec);
             regVal[inst->pdst] = inst->result;
             const Cycle ready =
                 speculativeSchedulingEnabled() ? cycle : cycle + 1;
@@ -602,12 +598,8 @@ Core::executeBranch(DynInst &inst)
     const Word s2 = inst.uop.hasSrc2() ? regVal[inst.psrc2] : 0;
     inst.src1Val = s1;
     inst.src2Val = s2;
-    secMonitor.onConsume(inst, shadows.visibilityPoint(), true, true,
-                         true);
-    if (cshadow.on()) {
-        cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
-                          true, true);
-    }
+    cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true, true,
+                      true);
 
     inst.actualTaken = evalBranch(inst.uop, s1, s2);
     inst.resolved = true;
@@ -644,12 +636,8 @@ Core::executeLoadAddr(InstHandle h, DynInst &inst)
     inst.src1Val = regVal[inst.psrc1];
     inst.effAddr = inst.src1Val + static_cast<Word>(inst.uop.imm);
     inst.effAddrValid = true;
-    secMonitor.onConsume(inst, shadows.visibilityPoint(), true, false,
-                         true);
-    if (cshadow.on()) {
-        cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
-                          false, true);
-    }
+    cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true, false,
+                      true);
     loadMemoryStage(h, inst);
 }
 
@@ -707,8 +695,7 @@ Core::finishLoad(InstHandle h, DynInst &inst, Cycle complete_at,
 {
     if (inv.on())
         inv.onForward(inst, forward_source);
-    if (cshadow.on())
-        cshadow.onLoadValue(inst, forward_source);
+    cshadow.onLoadValue(inst, forward_source);
     inst.result = value;
     inst.completeAt = complete_at;
     lsu.loadDataReturned(inst, forward_source);
@@ -723,12 +710,8 @@ Core::executeStoreAddr(DynInst &inst)
     inst.effAddrValid = true;
     // Publish the address to the SQ entry before anything can scan it.
     lsu.storeAddrReady(inst);
-    secMonitor.onConsume(inst, shadows.visibilityPoint(), true, false,
-                         true);
-    if (cshadow.on()) {
-        cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
-                          false, true);
-    }
+    cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true, false,
+                      true);
 
     if (const LqEntry *victim = lsu.checkViolation(inst)) {
         // Memory-order violation (store-to-load forwarding error,
@@ -750,13 +733,9 @@ Core::executeStoreData(DynInst &inst)
 {
     inst.src2Val = regVal[inst.psrc2];
     inst.storeDataDone = true;
-    secMonitor.onConsume(inst, shadows.visibilityPoint(), false, true,
-                         false);
-    if (cshadow.on()) {
-        cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), false,
-                          true, false);
-        cshadow.onStoreData(inst);
-    }
+    cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), false, true,
+                      false);
+    cshadow.onStoreData(inst);
     wokenScratch.clear();
     lsu.storeDataReady(inst, inst.src2Val, wokenScratch);
     if (inst.effAddrValid)
@@ -942,12 +921,8 @@ Core::executeAluAtSelect(InstHandle h, DynInst &inst)
     const Word s2 = inst.uop.hasSrc2() ? regVal[inst.psrc2] : 0;
     inst.src1Val = s1;
     inst.src2Val = s2;
-    secMonitor.onConsume(inst, shadows.visibilityPoint(), true, true,
-                         false);
-    if (cshadow.on()) {
-        cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
-                          true, false);
-    }
+    cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true, true,
+                      false);
     inst.result = evalAlu(inst.uop, s1, s2);
     inst.executed = true;
     if (inst.pdst != invalidPhysReg)
@@ -1043,9 +1018,7 @@ Core::renamePhase()
             // New allocation epoch: any wakeup still queued for this
             // register (from a squashed former owner) is now stale.
             ++pregEpoch[inst.pdst];
-            secMonitor.onAllocate(inst.pdst);
-            if (cshadow.on())
-                cshadow.onAllocate(inst.pdst);
+            cshadow.onAllocate(inst.pdst);
         }
         inst.renamed = true;
         lastRenamedSeq = inst.seq;
@@ -1211,8 +1184,7 @@ Core::squash(SeqNum from_seq, std::uint32_t new_pc)
     }
     lsu.squash(from_seq);
     iq.squash(from_seq);
-    if (cshadow.on())
-        cshadow.onSquash(from_seq);
+    cshadow.onSquash(from_seq);
     schemePtr->onSquash(from_seq);
 
     // Every sequence number below nextSeq is now renamed, committed,

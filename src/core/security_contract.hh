@@ -8,8 +8,9 @@
  * Contract Shadow Logic"; Daniel et al., "ProSpeCT"), plus the monitor
  * obligations the harness may hold it to. The gadget battery
  * (src/harness/verify.hh), the conformance fuzzer
- * (src/harness/conformance.hh) and the in-core contract shadow engine
- * (src/core/contract_shadow.hh) all judge against this descriptor.
+ * (src/harness/conformance.hh) and the in-core label engine
+ * (src/core/contract_shadow.hh: the always-on obligation monitor and
+ * the gated contract shadow) all judge against this descriptor.
  */
 
 #ifndef SB_CORE_SECURITY_CONTRACT_HH
@@ -64,7 +65,8 @@ enum class ContractPolicy {
 struct SecurityContract {
     ContractPolicy policy = ContractPolicy::None;
 
-    /** Ground-truth SecurityMonitor transmit count must be zero. */
+    /** Ground-truth transmit count (the label engine's always-on
+     *  obligation half, Core::monitor()) must be zero. */
     bool obligesTransmitterSafety = false;
 
     /** Monitor consume count must be zero (implies the above). */

@@ -74,6 +74,11 @@ parseFuzzWorkload(const std::string &workload, OpMixProfile &profile,
             != 2
         || parsed_iters == 0)
         return false;
+    // Only the canonical spelling (no signs, whitespace or trailing
+    // text): one simulation, one specKey.
+    if (fuzzWorkloadName(parsed_profile, parsed_seed, parsed_iters)
+        != workload)
+        return false;
 
     profile = parsed_profile;
     seed = parsed_seed;

@@ -57,8 +57,8 @@ std::string fuzzWorkloadName(OpMixProfile profile, std::uint64_t seed,
 bool isFuzzWorkload(const std::string &workload);
 
 /**
- * Decode a fuzzWorkloadName(). Returns false on anything malformed,
- * leaving the outputs untouched.
+ * Decode a fuzzWorkloadName(). Returns false on anything but the
+ * canonical spelling, leaving the outputs untouched.
  */
 bool parseFuzzWorkload(const std::string &workload, OpMixProfile &profile,
                        std::uint64_t &seed, unsigned &iterations);

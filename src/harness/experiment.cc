@@ -1,6 +1,5 @@
 #include "harness/experiment.hh"
 
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -66,11 +65,6 @@ resolveJobs(unsigned requested)
                 maxJobs, "])");
     }
     return std::max(1u, std::thread::hardware_concurrency());
-}
-
-ExperimentRunner::ExperimentRunner(unsigned threads)
-    : numThreads(resolveJobs(threads))
-{
 }
 
 RunOutcome
@@ -165,33 +159,6 @@ outcomeIsCacheable(const RunOutcome &outcome)
     return outcome.stat("watchdog_tripped") == 0
            && outcome.stat("interrupted") == 0
            && outcome.stat("quarantined") == 0;
-}
-
-std::vector<RunOutcome>
-ExperimentRunner::runAll(const std::vector<RunSpec> &specs) const
-{
-    std::vector<RunOutcome> results(specs.size());
-    std::atomic<std::size_t> next{0};
-
-    auto worker = [&]() {
-        while (true) {
-            const std::size_t idx =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (idx >= specs.size())
-                return;
-            results[idx] = runOne(specs[idx]);
-        }
-    };
-
-    const unsigned n =
-        std::min<std::size_t>(numThreads, specs.size());
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
-    return results;
 }
 
 std::vector<RunSpec>

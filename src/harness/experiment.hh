@@ -1,7 +1,8 @@
 /**
  * @file
- * Experiment runner: executes (core config x scheme x workload)
- * simulations, with warmup, in parallel across host threads.
+ * Experiment runner: executes one (core config x scheme x workload)
+ * simulation, with warmup. ExperimentEngine (harness/engine.hh) runs
+ * batches of them across host threads.
  */
 
 #ifndef SB_HARNESS_EXPERIMENT_HH
@@ -81,7 +82,8 @@ struct RunOutcome
     std::uint64_t instructions = 0;
     double ipc = 0.0;
 
-    /** Ground-truth monitor counts over the whole run. */
+    /** Ground-truth obligation counts over the whole run, from the
+     *  label engine's always-on half (Core::monitor()). */
     std::uint64_t transmitViolations = 0;
     std::uint64_t consumeViolations = 0;
 
@@ -112,25 +114,16 @@ struct RunHooks
     bool interruptible = false;
 };
 
-/** Thread-pooled runner. */
+/** Single-cell executor; batches go through ExperimentEngine. */
 class ExperimentRunner
 {
   public:
-    /** @param threads worker count; 0 defers to resolveJobs(). */
-    explicit ExperimentRunner(unsigned threads = 0);
-
-    /** Execute every spec (order of results matches input order). */
-    std::vector<RunOutcome> runAll(const std::vector<RunSpec> &specs) const;
-
     /** Execute one spec synchronously. */
     static RunOutcome runOne(const RunSpec &spec);
 
     /** Execute one spec under supervision (per-cell deadline /
      *  interrupt awareness); see RunHooks. */
     static RunOutcome runOne(const RunSpec &spec, const RunHooks &hooks);
-
-  private:
-    unsigned numThreads;
 };
 
 /**

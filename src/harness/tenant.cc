@@ -65,11 +65,20 @@ parseTenantWorkload(const std::string &workload, ServerMixParams &out)
     }
     if (hostile > 1)
         return false;
-    out.tenants = tenants;
-    out.requests = requests;
-    out.work = work;
-    out.hostile = hostile != 0;
-    out.seed = seed;
+    ServerMixParams parsed;
+    parsed.tenants = tenants;
+    parsed.requests = requests;
+    parsed.work = work;
+    parsed.hostile = hostile != 0;
+    parsed.seed = seed;
+    // A name buildServerMix would abort on is malformed. Only the
+    // canonical spelling is accepted: sscanf tolerates whitespace,
+    // signs and trailing text, any of which would give the same
+    // simulation a second specKey.
+    if (!serverMixParamsValid(parsed)
+        || tenantWorkloadName(parsed) != workload)
+        return false;
+    out = parsed;
     return true;
 }
 
@@ -139,6 +148,24 @@ runServerMixCell(const RunSpec &spec)
     if (!res.halted)
         out.stats["watchdog_tripped"] = 1; // Wedged: never cache.
     return out;
+}
+
+TenantVerdict
+tenantVerdict(const std::vector<RunOutcome> &outcomes)
+{
+    TenantVerdict verdict;
+    for (const RunOutcome &o : outcomes) {
+        SchemeConfig sc;
+        sc.scheme = o.scheme;
+        const SecurityContract contract = makeScheme(sc)->contract();
+        const bool leaked = o.stat("mt_cross_viol") != 0;
+        if (contract.policy == ContractPolicy::None)
+            verdict.baselineLeaks |= leaked;
+        else if (contract.obligesTransmitterSafety
+                 || contract.obligesConsumeSafety)
+            verdict.dataflowLeaks |= leaked;
+    }
+    return verdict;
 }
 
 namespace
@@ -226,31 +253,13 @@ tenantReport(const std::vector<RunOutcome> &outcomes, std::FILE *out)
     }
     std::fputs(t.render().c_str(), out);
 
-    // The hostile tenant's gadget trains entirely inside its own
-    // requests, so the predictor-flush switch policy alone cannot
-    // close it — only schemes with a dataflow obligation
-    // (transmitter-/consume-safe) must stop the transient transmit.
-    // Sandboxing-only schemes (Delay-on-Miss) never promised to: the
-    // victim keeps its own secret L1-hot, and DoM only delays
-    // *missing* speculative loads.
-    bool baselineLeaks = false;
-    bool dataflowLeaks = false;
-    for (const RunOutcome &o : outcomes) {
-        SchemeConfig sc;
-        sc.scheme = o.scheme;
-        const SecurityContract contract = makeScheme(sc)->contract();
-        if (contract.policy == ContractPolicy::None)
-            baselineLeaks |= o.stat("mt_cross_viol") != 0;
-        else if (contract.obligesTransmitterSafety
-                 || contract.obligesConsumeSafety)
-            dataflowLeaks |= o.stat("mt_cross_viol") != 0;
-    }
+    const TenantVerdict verdict = tenantVerdict(outcomes);
     std::fprintf(out,
                  "\nhostile tenant: %s on Baseline, %s under "
                  "dataflow (transmitter-/consume-safe) schemes\n",
-                 baselineLeaks ? "cross-tenant transmit observed"
-                               : "no cross-tenant transmit (!)",
-                 dataflowLeaks ? "NOT closed (!)" : "closed");
+                 verdict.baselineLeaks ? "cross-tenant transmit observed"
+                                       : "no cross-tenant transmit (!)",
+                 verdict.dataflowLeaks ? "NOT closed (!)" : "closed");
     writeTenantJson(outcomes, tenantWorkloadName(params));
     std::fprintf(out, "wrote SBSIM_multi_tenant_summary.json\n");
 }

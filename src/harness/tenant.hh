@@ -20,6 +20,7 @@
 #define SB_HARNESS_TENANT_HH
 
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hh"
 #include "trace/server_mix.hh"
@@ -40,8 +41,9 @@ std::string tenantWorkloadName(const ServerMixParams &p);
 bool isTenantWorkload(const std::string &workload);
 
 /**
- * Decode a tenantWorkloadName(). Returns false on anything malformed,
- * leaving @p out untouched.
+ * Decode a tenantWorkloadName(). Returns false, leaving @p out
+ * untouched, unless @p workload is exactly the canonical name of a
+ * buildServerMix()-valid parameter set.
  */
 bool parseTenantWorkload(const std::string &workload,
                          ServerMixParams &out);
@@ -54,6 +56,29 @@ bool parseTenantWorkload(const std::string &workload,
  * complete program, measured whole).
  */
 RunOutcome runServerMixCell(const RunSpec &spec);
+
+/**
+ * Cross-domain verdict of a batch of server-mix outcomes, derived
+ * from each scheme's SecurityContract. The hostile tenant's gadget
+ * trains entirely inside its own requests, so the predictor-flush
+ * switch policy alone cannot close it: only schemes with a dataflow
+ * obligation (transmitter- or consume-safe) must stop the transient
+ * transmit. Sandboxing-only schemes (Delay-on-Miss) never promised
+ * to — the victim keeps its own secret L1-hot, and DoM only delays
+ * *missing* speculative loads — so they are exempt.
+ */
+struct TenantVerdict
+{
+    /** Some Baseline cell showed a cross-tenant transmit (the
+     *  hostile tenant is armed). */
+    bool baselineLeaks = false;
+    /** Some dataflow-obligated scheme showed one. */
+    bool dataflowLeaks = false;
+
+    bool ok() const { return baselineLeaks && !dataflowLeaks; }
+};
+
+TenantVerdict tenantVerdict(const std::vector<RunOutcome> &outcomes);
 
 /** Register the "multi_tenant" scenario (schemes x switch policies
  *  over the hostile server mix) into @p registry. */

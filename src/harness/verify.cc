@@ -81,6 +81,13 @@ parseGadgetWorkload(const std::string &workload, GadgetKind &kind,
         return false;
     if (secret_val < 1 || secret_val > 255)
         return false;
+    // Only the canonical spelling (no signs, whitespace or leading
+    // zeros): one simulation, one specKey.
+    if (gadgetWorkloadName(parsed_kind,
+                           static_cast<std::uint8_t>(secret_val),
+                           seed_val)
+        != workload)
+        return false;
 
     kind = parsed_kind;
     secret = static_cast<std::uint8_t>(secret_val);

@@ -65,8 +65,8 @@ std::string gadgetWorkloadName(GadgetKind kind, std::uint8_t secret,
 bool isGadgetWorkload(const std::string &workload);
 
 /**
- * Decode a gadgetWorkloadName(). Returns false on anything
- * malformed, leaving the outputs untouched.
+ * Decode a gadgetWorkloadName(). Returns false on anything but the
+ * canonical spelling, leaving the outputs untouched.
  */
 bool parseGadgetWorkload(const std::string &workload, GadgetKind &kind,
                          std::uint8_t &secret, std::uint64_t &seed);

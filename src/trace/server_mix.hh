@@ -58,6 +58,10 @@ struct ServerMixProgram
     unsigned totalRequests = 0;
 };
 
+/** Does buildServerMix() accept @p p? (2..16 tenants, 1..128
+ *  requests, 1..256 work.) */
+bool serverMixParamsValid(const ServerMixParams &p);
+
 ServerMixProgram buildServerMix(const ServerMixParams &p);
 
 } // namespace sb

@@ -212,7 +212,9 @@ TEST(FuzzWorkload, RoundTripsAndRejectsMalformed)
 
     for (const char *bad :
          {"fuzz:", "fuzz:nope:seed=1:iters=2", "fuzz:mixed:seed=1",
-          "fuzz:mixed:seed=1:iters=0", "541.leela", "gadget:x"}) {
+          "fuzz:mixed:seed=1:iters=0", "541.leela", "gadget:x",
+          "fuzz:mixed:seed=1:iters=2junk", "fuzz:mixed:seed=-1:iters=2",
+          "fuzz:mixed:seed= 1:iters=2"}) {
         EXPECT_FALSE(sb::parseFuzzWorkload(bad, profile, seed, iters))
             << bad;
     }

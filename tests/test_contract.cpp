@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string_view>
@@ -144,7 +145,14 @@ TEST(ContractShadow, BaselineViolatesConstantTimeDeclaredSchemesDoNot)
 TEST(ContractShadow, EngineIsTimingInvisible)
 {
     // The shadow engine is a pure observer: cycle-identical runs with
-    // the checks on and off.
+    // the contract half on and off, and the always-on obligation
+    // counts do not depend on it either.
+    struct Observed
+    {
+        sb::Cycle cycles;
+        std::uint64_t transmit;
+        std::uint64_t consume;
+    };
     const auto gadget = v1Gadget();
     const auto run = [&](bool enable) {
         sb::SchemeConfig scfg;
@@ -153,9 +161,17 @@ TEST(ContractShadow, EngineIsTimingInvisible)
         core.setContractShadowEnabled(enable);
         const auto r = core.run(100'000'000, 10'000'000);
         EXPECT_TRUE(r.halted);
-        return core.now();
+        return Observed{core.now(), core.monitor().transmitViolations(),
+                        core.monitor().consumeViolations()};
     };
-    EXPECT_EQ(run(false), run(true));
+    const Observed off = run(false);
+    const Observed on = run(true);
+    EXPECT_EQ(off.cycles, on.cycles);
+    EXPECT_EQ(off.transmit, on.transmit);
+    EXPECT_EQ(off.consume, on.consume);
+    // The Baseline leaks the gadget, so the comparison is not vacuous.
+    EXPECT_GT(off.transmit, 0u);
+    EXPECT_GT(off.consume, 0u);
 }
 
 TEST(ContractShadow, GeneratedProgramsCarrySecretRegions)

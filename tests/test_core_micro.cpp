@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the core's microarchitectural components: rename
- * map, issue queue, LSU, shadow tracker, and security monitor.
+ * map, issue queue, LSU, shadow tracker, and the label engine's
+ * always-on obligation half.
  *
  * Components address instructions through InstSlab handles, so each
  * test owns a small slab and the helpers hand back handles.
@@ -9,11 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/contract_shadow.hh"
 #include "core/inst_slab.hh"
 #include "core/issue_queue.hh"
 #include "core/lsu.hh"
 #include "core/rename_map.hh"
-#include "core/security_monitor.hh"
 #include "core/shadow_tracker.hh"
 
 namespace
@@ -559,17 +560,29 @@ TEST(ShadowTracker, PrevLatchLagsOneUpdate)
     EXPECT_EQ(st.visibilityPoint(), 5u);
 }
 
-// --- SecurityMonitor ---------------------------------------------------
+// --- Obligation monitor ------------------------------------------------
+// The ContractShadow label engine always counts the STT/NDA
+// obligations; these run it with the gated contract half off, so they
+// prove the always-on half stands alone.
+
+sb::ContractShadow
+obligationMonitor()
+{
+    sb::ContractShadow mon(64);
+    mon.setActive(false);
+    return mon;
+}
+
 
 TEST(Monitor, TransmitterWithTaintedOperandViolates)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow mon = obligationMonitor();
     const auto ld = makeLoad(slab, 10, 20);
     mon.onLoadData(slab.get(ld), true); // Spec load -> preg 20 tainted.
 
     const auto consumer = makeLoad(slab, 12, 21, 20); // Uses preg 20.
-    mon.onConsume(slab.get(consumer), 5, true, false, true);
+    mon.onConsume(slab.get(consumer), 0, 5, true, false, true);
     EXPECT_EQ(mon.transmitViolations(), 1u);
     EXPECT_EQ(mon.consumeViolations(), 1u);
 }
@@ -577,7 +590,7 @@ TEST(Monitor, TransmitterWithTaintedOperandViolates)
 TEST(Monitor, NonTransmitterConsumptionOnlyFlagsNda)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow mon = obligationMonitor();
     const auto ld = makeLoad(slab, 10, 20);
     mon.onLoadData(slab.get(ld), true);
     const auto alu = makeInst(slab, 12, sb::Op::Add);
@@ -588,7 +601,7 @@ TEST(Monitor, NonTransmitterConsumptionOnlyFlagsNda)
     a.pdst = 22;
     a.psrc1 = 20;
     a.psrc2 = 21;
-    mon.onConsume(a, 5, true, true, false);
+    mon.onConsume(a, 0, 5, true, true, false);
     EXPECT_EQ(mon.transmitViolations(), 0u);
     EXPECT_EQ(mon.consumeViolations(), 1u);
 }
@@ -596,7 +609,7 @@ TEST(Monitor, NonTransmitterConsumptionOnlyFlagsNda)
 TEST(Monitor, TaintPropagatesTransitively)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow mon = obligationMonitor();
     const auto ld = makeLoad(slab, 10, 20);
     mon.onLoadData(slab.get(ld), true);
     // alu: preg 22 = f(preg 20) while root still speculative.
@@ -606,20 +619,20 @@ TEST(Monitor, TaintPropagatesTransitively)
     a.uop.src1 = 2;
     a.pdst = 22;
     a.psrc1 = 20;
-    mon.onConsume(a, 5, true, false, false);
+    mon.onConsume(a, 0, 5, true, false, false);
     // Transmitter consuming preg 22: indirect taint.
     const auto br = makeInst(slab, 12, sb::Op::Beq);
     sb::DynInst &b = slab.get(br);
     b.uop.src1 = 2;
     b.psrc1 = 22;
-    mon.onConsume(b, 5, true, false, true);
+    mon.onConsume(b, 0, 5, true, false, true);
     EXPECT_EQ(mon.transmitViolations(), 1u);
 }
 
 TEST(Monitor, RootsExpireAtVisibilityPoint)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow mon = obligationMonitor();
     const auto ld = makeLoad(slab, 10, 20);
     mon.onLoadData(slab.get(ld), true);
     const auto br = makeInst(slab, 12, sb::Op::Beq);
@@ -627,7 +640,7 @@ TEST(Monitor, RootsExpireAtVisibilityPoint)
     b.uop.src1 = 2;
     b.psrc1 = 20;
     // Visibility point has passed the load: data is public now.
-    mon.onConsume(b, 11, true, false, true);
+    mon.onConsume(b, 0, 11, true, false, true);
     EXPECT_EQ(mon.transmitViolations(), 0u);
     EXPECT_EQ(mon.consumeViolations(), 0u);
 }
@@ -635,21 +648,21 @@ TEST(Monitor, RootsExpireAtVisibilityPoint)
 TEST(Monitor, NonSpeculativeLoadProducesCleanData)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow mon = obligationMonitor();
     const auto ld = makeLoad(slab, 10, 20);
     mon.onLoadData(slab.get(ld), false);
     const auto br = makeInst(slab, 12, sb::Op::Beq);
     sb::DynInst &b = slab.get(br);
     b.uop.src1 = 2;
     b.psrc1 = 20;
-    mon.onConsume(b, 5, true, false, true);
+    mon.onConsume(b, 0, 5, true, false, true);
     EXPECT_EQ(mon.transmitViolations(), 0u);
 }
 
 TEST(Monitor, AllocationClearsOldState)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow mon = obligationMonitor();
     const auto ld = makeLoad(slab, 10, 20);
     mon.onLoadData(slab.get(ld), true);
     mon.onAllocate(20); // Register reallocated to a new producer.
@@ -657,7 +670,7 @@ TEST(Monitor, AllocationClearsOldState)
     sb::DynInst &b = slab.get(br);
     b.uop.src1 = 2;
     b.psrc1 = 20;
-    mon.onConsume(b, 5, true, false, true);
+    mon.onConsume(b, 0, 5, true, false, true);
     EXPECT_EQ(mon.transmitViolations(), 0u);
 }
 

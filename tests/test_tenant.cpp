@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "branch/btb.hh"
 #include "branch/tage.hh"
 #include "core/core.hh"
@@ -168,6 +171,24 @@ TEST(ServerMix, WorkloadNameRoundTripsAndRejectsGarbage)
     EXPECT_EQ(q.seed, 99u);
     EXPECT_FALSE(sb::parseTenantWorkload("mt:tenants=3", q));
     EXPECT_FALSE(sb::parseTenantWorkload("nonsense", q));
+    // Only the canonical spelling, and only what buildServerMix
+    // accepts (tenants 2..16, requests 1..128, work 1..256).
+    for (const char *bad :
+         {"mt:tenants=4:requests=24:work=8:hostile=1:seed=7junk",
+          "mt:tenants= 4:requests=24:work=8:hostile=1:seed=7",
+          "mt:tenants=+4:requests=24:work=8:hostile=1:seed=7",
+          "mt:tenants=-1:requests=24:work=8:hostile=1:seed=7",
+          "mt:tenants=99:requests=24:work=8:hostile=1:seed=7",
+          "mt:tenants=1:requests=24:work=8:hostile=1:seed=7",
+          "mt:tenants=4:requests=0:work=8:hostile=1:seed=7",
+          "mt:tenants=4:requests=129:work=8:hostile=1:seed=7",
+          "mt:tenants=4:requests=24:work=0:hostile=1:seed=7",
+          "mt:tenants=4:requests=24:work=257:hostile=1:seed=7",
+          "mt:tenants=4:requests=24:work=8:hostile=2:seed=7"}) {
+        EXPECT_FALSE(sb::parseTenantWorkload(bad, q)) << bad;
+    }
+    EXPECT_TRUE(sb::parseTenantWorkload(
+        "mt:tenants=16:requests=128:work=256:hostile=1:seed=7", q));
 }
 
 TEST(ServerMix, BenignMixRunsToHaltAcrossShapes)
@@ -232,6 +253,46 @@ TEST(ServerMix, BenignMixShowsNoCrossTenantViolations)
         sb::Scheme::Baseline, sb::CoreConfig::mega(), false);
     EXPECT_EQ(out.stat("mt_cross_viol"), 0u);
     EXPECT_EQ(out.stat("mt_halted"), 1u);
+}
+
+TEST(ServerMix, VerdictNeedsArmedBaselineAndClosedDataflowSchemes)
+{
+    // Synthetic outcomes: only the scheme and the cross-tenant count
+    // feed the verdict.
+    const auto cell = [](sb::Scheme scheme, std::uint64_t cross_viol) {
+        sb::RunOutcome o;
+        o.scheme = scheme;
+        o.stats["mt_cross_viol"] = cross_viol;
+        return o;
+    };
+    const std::vector<sb::RunOutcome> stock = {
+        cell(sb::Scheme::Baseline, 3), cell(sb::Scheme::SttRename, 0),
+        cell(sb::Scheme::SttIssue, 0), cell(sb::Scheme::Nda, 0),
+        cell(sb::Scheme::NdaStrict, 0), cell(sb::Scheme::DelayAll, 0),
+        cell(sb::Scheme::DelayOnMiss, 0)};
+    EXPECT_TRUE(sb::tenantVerdict(stock).ok());
+
+    // A Baseline that never leaks means the hostile tenant is
+    // disarmed: the gate cannot vouch for anything.
+    std::vector<sb::RunOutcome> disarmed = stock;
+    disarmed[0].stats["mt_cross_viol"] = 0;
+    EXPECT_FALSE(sb::tenantVerdict(disarmed).baselineLeaks);
+    EXPECT_FALSE(sb::tenantVerdict(disarmed).ok());
+
+    // Any dataflow-obligated scheme that leaks fails the gate.
+    for (std::size_t i = 1; i < 6; ++i) {
+        std::vector<sb::RunOutcome> leaky = stock;
+        leaky[i].stats["mt_cross_viol"] = 1;
+        EXPECT_TRUE(sb::tenantVerdict(leaky).dataflowLeaks)
+            << sb::schemeName(leaky[i].scheme);
+        EXPECT_FALSE(sb::tenantVerdict(leaky).ok())
+            << sb::schemeName(leaky[i].scheme);
+    }
+
+    // Delay-on-Miss promises sandboxing only: its leak is exempt.
+    std::vector<sb::RunOutcome> dom_leak = stock;
+    dom_leak[6].stats["mt_cross_viol"] = 5;
+    EXPECT_TRUE(sb::tenantVerdict(dom_leak).ok());
 }
 
 TEST(ServerMix, RerunIsDeterministic)

@@ -60,7 +60,10 @@ TEST(GadgetWorkloads, ParseRejectsMalformed)
           "gadget:spectre-v1:secret=0:seed=2",
           "gadget:spectre-v1:secret=256:seed=2",
           "gadget:spectre-v1:secret=x:seed=2",
-          "gadget:spectre-v1:seed=2:secret=167"}) {
+          "gadget:spectre-v1:seed=2:secret=167",
+          "gadget:spectre-v1:secret=1:seed=-2",
+          "gadget:spectre-v1:secret=+1:seed=2",
+          "gadget:spectre-v1:secret=01:seed=2"}) {
         EXPECT_FALSE(sb::parseGadgetWorkload(bad, kind, secret, seed))
             << bad;
     }

@@ -70,7 +70,11 @@
  * leak matrix: the process exits nonzero if any scheme breaks its
  * security contract (a claiming scheme leaks or shows differential
  * timing divergence, or the unsafe baseline fails to leak). With
- * --json the matrix is written to SBSIM_verify.json.
+ * --json the matrix is written to SBSIM_verify.json. The
+ * "multi_tenant" scenario gates the exit code the same way, however
+ * it is reached (`run multi_tenant`, `all`): the hostile tenant must
+ * leak across domains on the Baseline and under no dataflow scheme
+ * (see tenantVerdict()).
  *
  * `sbsim fuzz` runs the differential conformance campaign: seeded
  * random programs under every scheme, checked against the Baseline's
@@ -101,6 +105,7 @@
 #include "harness/reporting.hh"
 #include "harness/scenario.hh"
 #include "harness/serve.hh"
+#include "harness/tenant.hh"
 #include "harness/verify.hh"
 
 namespace
@@ -678,6 +683,7 @@ main(int argc, char **argv)
     const auto results = engine.run(specs);
 
     bool verify_ok = true;
+    bool tenant_ok = true;
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
         const std::vector<sb::RunOutcome> slice(
             results.begin() + offsets[i],
@@ -705,6 +711,8 @@ main(int argc, char **argv)
         scenarios[i]->report(slice, stdout);
         if (common.emitJson)
             writeOutcomesJson(scenarios[i]->name, slice);
+        if (scenarios[i]->name == "multi_tenant")
+            tenant_ok = sb::tenantVerdict(slice).ok();
     }
 
     const sb::EngineStats &st = engine.stats();
@@ -752,6 +760,11 @@ main(int argc, char **argv)
     if (!verify_ok) {
         std::fprintf(stderr,
                      "sbsim verify: security contract violated\n");
+        return 1;
+    }
+    if (!tenant_ok) {
+        std::fprintf(stderr,
+                     "sbsim: multi-tenant cross-domain gate failed\n");
         return 1;
     }
     if (!st.quarantinedKeys.empty()) {

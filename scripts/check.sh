@@ -12,16 +12,21 @@
 #                              # contract_check fuzz scenario
 #   scripts/check.sh --fuzz    # Also run the conformance fuzz smoke
 #   scripts/check.sh --mitigations # Also prove each software
-#                              # mitigation's gadget closure and run a
-#                              # mitigated conformance slice
+#                              # mitigation's gadget closure, run a
+#                              # mitigated conformance slice and the
+#                              # mitigation_grid scenario
 #   scripts/check.sh --docs    # Also run the markdown docs link check
 #   scripts/check.sh --shards  # Also run the shard-tier smoke
-#                              # (cold sharded run == in-process run)
+#                              # (cold sharded run == in-process run,
+#                              # plus an SB_FAULT crash-storm run)
 #   scripts/check.sh --tenants # Also run the multi-tenant server mix
 #                              # and gate on its cross-tenant verdict
 #
 # SB_JOBS bounds simulation worker threads (tests and sbsim).
-# Flags compose: e.g. `check.sh --asan --verify`.
+# Flags compose: e.g. `check.sh --asan --verify`. CI's gcc-release
+# leg runs `--verify --contracts --fuzz --mitigations --shards
+# --tenants` and uploads the JSON reports each block leaves in the
+# build directory.
 #
 # Every optional block runs with its exit status checked explicitly:
 # a failing bench or battery fails the script even as the final
@@ -95,6 +100,24 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
 
 status=0
 
+if [ "$run_contracts" = 1 ]; then
+    # Contract shadow gate: the battery re-judged under the strictest
+    # (constant-time) policy, plus the contract_check scenario over
+    # the fuzz corpus. Runs before --verify and moves its matrix JSON
+    # aside, so SBSIM_verify.json stays the declared-contract matrix.
+    # --no-cache for the same reason as the battery: a cached verdict
+    # must never green-light a broken scheme.
+    if (cd "$build_dir" \
+        && ./sbsim verify --contract constant-time --no-cache --json \
+        && mv SBSIM_verify.json SBSIM_verify_ct.json \
+        && ./sbsim run contract_check --no-cache); then
+        echo "constant-time matrix: $build_dir/SBSIM_verify_ct.json"
+    else
+        echo "FAIL: contract shadow check" >&2
+        status=1
+    fi
+fi
+
 if [ "$run_verify" = 1 ]; then
     # The security battery: every gadget x scheme cell, differentially
     # checked; `sbsim verify` exits nonzero on any contract breach.
@@ -106,24 +129,6 @@ if [ "$run_verify" = 1 ]; then
         echo "leak matrix: $build_dir/SBSIM_verify.json"
     else
         echo "FAIL: security battery reported a leak / divergence" >&2
-        status=1
-    fi
-fi
-
-if [ "$run_contracts" = 1 ]; then
-    # Contract shadow gate: the battery re-judged under the strictest
-    # (constant-time) policy, plus the contract_check scenario over
-    # the fuzz corpus. The matrix JSON moves aside so it never
-    # clobbers the --verify output. --no-cache for the same reason as
-    # the battery: a cached verdict must never green-light a broken
-    # scheme.
-    if (cd "$build_dir" \
-        && ./sbsim verify --contract constant-time --no-cache --json \
-        && mv SBSIM_verify.json SBSIM_verify_ct.json \
-        && ./sbsim run contract_check --no-cache); then
-        echo "constant-time matrix: $build_dir/SBSIM_verify_ct.json"
-    else
-        echo "FAIL: contract shadow check" >&2
         status=1
     fi
 fi
@@ -164,6 +169,14 @@ if [ "$run_mitigations" = 1 ]; then
             status=1
         fi
     done
+    # The hardware/software co-deployment closure + overhead tables.
+    if (cd "$build_dir" \
+        && ./sbsim run mitigation_grid --no-cache --json > sbsim_mitigation_grid.log); then
+        echo "mitigation grid: $build_dir/SBSIM_mitigation_grid.json"
+    else
+        echo "FAIL: mitigation_grid (log: $build_dir/sbsim_mitigation_grid.log)" >&2
+        status=1
+    fi
 fi
 
 if [ "$run_bench" = 1 ]; then
@@ -191,17 +204,34 @@ if [ "$run_shards" = 1 ]; then
     # dumps to an in-process run of the same scenario. This is the
     # end-to-end distributed-correctness gate; the fault-injection
     # paths are covered by tests/test_shard.cpp in the suite above.
+    # Both dumps stay in the build directory as artifacts.
     shard_tmp=$(mktemp -d)
     if (cd "$build_dir" \
         && ./sbsim run table1 --shards 2 \
              --cache-dir "$shard_tmp/cache" --json > /dev/null \
-        && mv SBSIM_table1.json "$shard_tmp/sharded.json" \
+        && mv SBSIM_table1.json sharded.json \
         && ./sbsim run table1 --no-cache --json > /dev/null \
-        && mv SBSIM_table1.json "$shard_tmp/inproc.json" \
-        && diff "$shard_tmp/sharded.json" "$shard_tmp/inproc.json"); then
+        && mv SBSIM_table1.json inproc.json \
+        && diff sharded.json inproc.json); then
         echo "shard smoke: sharded == in-process (byte-identical)"
     else
         echo "FAIL: sharded run diverged from in-process run" >&2
+        status=1
+    fi
+    # Crash storm: every worker generation dies before its 5th reply.
+    # The supervisor must converge (retries served from the shared
+    # cache written before each crash) and exit 0, or exit 1 with an
+    # explicit quarantine report -- never wedge or die.
+    storm_status=0
+    (cd "$build_dir" \
+        && SB_FAULT=crash:5 ./sbsim run table1 --shards 2 \
+             --cache-dir "$shard_tmp/cache-faulty" --json \
+             > sbsim_crash_storm.log) \
+        || storm_status=$?
+    if [ "$storm_status" = 0 ] || [ "$storm_status" = 1 ]; then
+        echo "crash storm: exit $storm_status (log: $build_dir/sbsim_crash_storm.log)"
+    else
+        echo "FAIL: crash-storm run exited $storm_status (log: $build_dir/sbsim_crash_storm.log)" >&2
         status=1
     fi
     rm -rf "$shard_tmp"
@@ -216,8 +246,9 @@ if [ "$run_tenants" = 1 ]; then
     # battery is armed) and every dataflow scheme shows none; DoM is
     # sandboxing-only and exempt.
     if (cd "$build_dir" \
-        && ./sbsim run multi_tenant --no-cache > sbsim_multi_tenant.log); then
-        echo "multi-tenant report: $build_dir/SBSIM_multi_tenant_summary.json"
+        && ./sbsim run multi_tenant --no-cache --json > sbsim_multi_tenant.log); then
+        echo "multi-tenant reports: $build_dir/SBSIM_multi_tenant.json," \
+             "$build_dir/SBSIM_multi_tenant_summary.json"
     else
         echo "FAIL: multi-tenant cross-domain gate (log: $build_dir/sbsim_multi_tenant.log)" >&2
         status=1

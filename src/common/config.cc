@@ -89,12 +89,9 @@ CoreConfig::canonical() const
         << "};mem=" << memLatency
         << ";specsched=" << (speculativeScheduling ? 1 : 0)
         << ";festages=" << frontendStages;
-    // Appended only when set so every pre-existing spec key (and the
+    // The tenant knobs only reach the key when they differ from the
+    // single-tenant defaults, so every pre-existing spec key (and the
     // result-cache cells addressed by it) stays byte-identical.
-    if (warmupInsts != 0)
-        oss << ";ffwd=" << warmupInsts;
-    // Same gating: the tenant knobs only reach the key when they
-    // differ from the single-tenant defaults.
     if (flushPredictorsOnSwitch)
         oss << ";swflush=1";
     if (contextSwitchPenalty != 48)

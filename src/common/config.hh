@@ -124,14 +124,6 @@ struct CoreConfig
     /** Pipeline depth from fetch to execute, for squash penalties. */
     unsigned frontendStages = 7;
 
-    /**
-     * Fast-forward: functionally execute this many instructions
-     * before detailed simulation begins (architectural state, caches,
-     * and predictors are warmed; no cycles are modelled). 0 = off.
-     * Run from Core::run() exactly once, on a fresh core.
-     */
-    std::uint64_t warmupInsts = 0;
-
     // --- Protection domains --------------------------------------------
     /**
      * Flush predictor state (TAGE tables, BTB, global history) on a

@@ -40,7 +40,6 @@ class Json
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
     bool isObject() const { return kind_ == Kind::Object; }
-    bool isArray() const { return kind_ == Kind::Array; }
 
     /** Typed access; panics when the kind does not match. */
     bool asBool() const;

@@ -135,10 +135,10 @@ class ContractShadow
     /** Squash: purge captured labels of killed loads/stores. */
     void onSquash(SeqNum youngest_surviving);
 
-    // --- Architectural (fast-forward) path ----------------------------
-    // The functional interpreter bypasses the pipeline, so the label
-    // flow collapses to architectural reads/writes; only the
-    // constant-time contract can fire there (nothing is speculative).
+    // --- Register labels (context-switch banking) ---------------------
+    // Core::performContextSwitch saves the outgoing tenant's
+    // architectural labels and restores (or clears) the incoming
+    // tenant's through regLabel/setRegLabel.
 
     /** Per-register label. The first three fields are the contract
      *  half (maintained only while on()); the last two are the
@@ -162,11 +162,6 @@ class ContractShadow
 
     Label regLabel(PhysReg reg) const { return regs[reg]; }
     void setRegLabel(PhysReg reg, Label label) { regs[reg] = label; }
-    void setMemSecret(Addr addr, bool secret, TenantId owner = 0);
-
-    /** A transmitter executed architecturally (fast-forward) with
-     *  @p secret_operand: constant-time check only. */
-    void onArchTransmit(std::uint32_t pc, bool secret_operand);
 
     // --- Verdicts ------------------------------------------------------
 
@@ -195,6 +190,8 @@ class ContractShadow
 
   private:
     static Addr alignWord(Addr addr) { return addr & ~Addr(7); }
+
+    void setMemSecret(Addr addr, bool secret, TenantId owner);
 
     /** @p root if it is still live at @p vp, invalid otherwise. */
     static SeqNum liveRoot(SeqNum root, SeqNum vp)

@@ -24,9 +24,8 @@
  * InstHandles. Records are allocated at fetch, freed at commit or
  * during the squash walk; structures that can outlive an instruction
  * revalidate handles through the slab. Fetch+decode of hot loop
- * bodies is memoized per static PC (core/decode_cache.hh), and an
- * optional functional fast-forward (CoreConfig::warmupInsts) skips
- * detailed simulation of warmup instructions entirely.
+ * bodies is memoized per static PC (core/decode_cache.hh). Every
+ * instruction, warmup included, is simulated in detail.
  */
 
 #ifndef SB_CORE_CORE_HH
@@ -206,8 +205,6 @@ class Core
     Cycle now() const { return cycle; }
     bool halted() const { return haltedFlag; }
     std::uint64_t committedInstructions() const { return committedCount; }
-    /** Instructions executed functionally by fast-forward warmup. */
-    std::uint64_t fastForwardedInstructions() const { return ffwdCount; }
     const CoreConfig &config() const { return cfg; }
     const SchemeConfig &schemeConfig() const { return schemeCfg; }
     StatGroup &stats() { return statGroup; }
@@ -219,9 +216,6 @@ class Core
 
     /** The in-flight instruction slab (engine-health diagnostics). */
     const InstSlab &instSlab() const { return slab; }
-
-    /** The per-PC decode cache (tests drive invalidation directly). */
-    DecodeCache &decodeCache() { return dcache; }
 
     /** Does @p h still address a live in-flight instruction? */
     bool slabAlive(InstHandle h) const { return slab.alive(h); }
@@ -376,15 +370,6 @@ class Core
     void finishLoad(InstHandle h, DynInst &inst, Cycle complete_at,
                     Word value, SeqNum forward_source);
 
-    /**
-     * Functional-only warmup (CoreConfig::warmupInsts): interpret up
-     * to @p max_insts instructions architecturally, training caches,
-     * the branch predictor, and the BTB, without modelling cycles.
-     * Requires a fresh core; detailed simulation resumes at the next
-     * un-executed pc.
-     */
-    void fastForward(std::uint64_t max_insts);
-
     /** Latency of an op class from the configuration. */
     unsigned opLatency(OpClass cls) const;
 
@@ -523,8 +508,6 @@ class Core
     Cycle fdivBusyUntil = 0;
     bool haltedFlag = false;
     std::uint64_t committedCount = 0;
-    std::uint64_t ffwdCount = 0;    ///< Fast-forwarded instructions.
-    bool ffwdDone = false;
     Cycle lastCommitCycle = 0;
     Cycle softWatchdogCycles = 0;   ///< 0 = hard panic on stall.
     bool watchdogTrippedFlag = false;

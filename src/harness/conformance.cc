@@ -1,5 +1,7 @@
 #include "harness/conformance.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -83,6 +85,27 @@ parseFuzzWorkload(const std::string &workload, OpMixProfile &profile,
     profile = parsed_profile;
     seed = parsed_seed;
     iterations = parsed_iters;
+    return true;
+}
+
+bool
+parseFuzzSeed(const std::string &text, std::uint64_t &seed)
+{
+    const bool hex = text.rfind("0x", 0) == 0;
+    const std::string digits = hex ? text.substr(2) : text;
+    if (digits.empty() || (!hex && digits.size() > 1 && digits[0] == '0'))
+        return false;
+    for (const char c : digits) {
+        if (!(hex ? std::isxdigit(static_cast<unsigned char>(c))
+                  : std::isdigit(static_cast<unsigned char>(c))))
+            return false;
+    }
+    errno = 0;
+    const unsigned long long v =
+        std::strtoull(digits.c_str(), nullptr, hex ? 16 : 10);
+    if (errno != 0)
+        return false;
+    seed = v;
     return true;
 }
 

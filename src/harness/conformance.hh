@@ -64,6 +64,14 @@ bool parseFuzzWorkload(const std::string &workload, OpMixProfile &profile,
                        std::uint64_t &seed, unsigned &iterations);
 
 /**
+ * Parse a fuzz seed as written on the command line or in a corpus
+ * file: decimal without leading zeros, or 0x-hex. Anything else
+ * (signs, whitespace, octal-looking "010", overflow) returns false,
+ * leaving @p seed untouched.
+ */
+bool parseFuzzSeed(const std::string &text, std::uint64_t &seed);
+
+/**
  * Architectural fingerprint plus health bits of one (program, scheme)
  * run — everything the oracle compares.
  */

@@ -1,12 +1,9 @@
 /**
  * @file
- * The paper's evaluation grid as registered scenarios. Each
- * definition is the former body of the matching bench_* binary
- * (which is now a thin wrapper, see bench/): the specs() builders and
- * report() renderers are ported verbatim so per-cell numbers stay
- * bit-identical to the standalone targets, while the shared
- * ExperimentEngine dedups and caches the overlapping grid cells
- * across scenarios.
+ * The paper's evaluation grid as registered scenarios: one
+ * specs() builder and report() renderer per figure, table and
+ * ablation (`sbsim run <name>`), while the shared ExperimentEngine
+ * dedups and caches the overlapping grid cells across scenarios.
  */
 
 #include "harness/scenario.hh"

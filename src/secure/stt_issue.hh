@@ -52,9 +52,6 @@ class SttIssueScheme : public SecureScheme
     bool onSelect(DynInst &inst, bool addr_half) override;
     void reset() override;
 
-    /** Current taint of a physical register (for tests). */
-    YRoT physTaint(PhysReg reg) const { return taintTable[reg]; }
-
   private:
     SchemeConfig schemeCfg;
     std::vector<YRoT> taintTable;

@@ -53,9 +53,6 @@ class SttRenameScheme : public SecureScheme
     void onSquashWalk(const DynInst &inst) override;
     void reset() override { taintRat.fill(invalidSeqNum); }
 
-    /** Current taint of an architectural register (for tests). */
-    YRoT archTaint(ArchReg reg) const { return taintRat[reg]; }
-
   private:
     SchemeConfig schemeCfg;
     std::array<YRoT, numArchRegs> taintRat;

@@ -72,8 +72,9 @@ loadCorpus()
             const std::string key = line.substr(0, eq);
             const std::string value = line.substr(eq + 1);
             if (key == "seed") {
-                entry.seed = std::stoull(value, nullptr, 0);
-                have_seed = true;
+                have_seed = sb::parseFuzzSeed(value, entry.seed);
+                EXPECT_TRUE(have_seed)
+                    << entry.file << ": bad seed '" << value << "'";
             } else if (key == "profile") {
                 EXPECT_TRUE(
                     sb::opMixProfileFromName(value, entry.profile))
@@ -217,6 +218,28 @@ TEST(FuzzWorkload, RoundTripsAndRejectsMalformed)
           "fuzz:mixed:seed= 1:iters=2"}) {
         EXPECT_FALSE(sb::parseFuzzWorkload(bad, profile, seed, iters))
             << bad;
+    }
+}
+
+TEST(FuzzSeed, AcceptsDecimalAndHexOnly)
+{
+    std::uint64_t seed = 0;
+    ASSERT_TRUE(sb::parseFuzzSeed("0", seed));
+    EXPECT_EQ(seed, 0u);
+    ASSERT_TRUE(sb::parseFuzzSeed("4242", seed));
+    EXPECT_EQ(seed, 4242u);
+    ASSERT_TRUE(sb::parseFuzzSeed("0xC0FFEE", seed));
+    EXPECT_EQ(seed, 0xC0FFEEu);
+    ASSERT_TRUE(sb::parseFuzzSeed("18446744073709551615", seed));
+    EXPECT_EQ(seed, ~std::uint64_t(0));
+
+    seed = 7;
+    for (const char *bad :
+         {"", "-1", "+1", " 1", "1 ", "010", "0x", "0x-1", "1e3", "0b1",
+          "12abc", "0xfg", "18446744073709551616",
+          "0x10000000000000000"}) {
+        EXPECT_FALSE(sb::parseFuzzSeed(bad, seed)) << '"' << bad << '"';
+        EXPECT_EQ(seed, 7u) << bad;
     }
 }
 

@@ -127,6 +127,46 @@ shardOpts(unsigned shards, const std::string &cacheDir)
     return opt;
 }
 
+/** Exit status of the real sbsim binary run with @p args (output
+ *  discarded); -1 if it did not exit normally. */
+int
+sbsimExitStatus(std::vector<std::string> args)
+{
+    args.insert(args.begin(), SB_SBSIM_PATH);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        const int devnull = ::open("/dev/null", O_WRONLY);
+        ::dup2(devnull, STDOUT_FILENO);
+        ::dup2(devnull, STDERR_FILENO);
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        argv.push_back(nullptr);
+        ::execv(argv[0], argv.data());
+        _exit(127);
+    }
+    int status = 0;
+    if (pid < 0 || ::waitpid(pid, &status, 0) != pid
+        || !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
+// --- Command line -------------------------------------------------------
+
+TEST(SbsimCli, FuzzSeedRejectsNonDecimalNonHex)
+{
+    for (const char *bad : {"-1", "010", "1e3", " 5", "0x"}) {
+        EXPECT_EQ(sbsimExitStatus({"fuzz", "--seed", bad, "--programs",
+                                   "1", "--no-cache"}),
+                  2)
+            << "--seed '" << bad << "'";
+    }
+    EXPECT_EQ(sbsimExitStatus({"fuzz", "--seed", "0x10", "--programs",
+                               "1", "--no-cache"}),
+              0);
+}
+
 // --- Wire protocol ------------------------------------------------------
 
 TEST(Protocol, FrameRoundTripOverPipe)

@@ -238,7 +238,8 @@ loadCorpus()
             const std::string key = line.substr(0, eq);
             const std::string value = line.substr(eq + 1);
             if (key == "seed")
-                entry.seed = std::stoull(value, nullptr, 0);
+                EXPECT_TRUE(sb::parseFuzzSeed(value, entry.seed))
+                    << entry.file << ": bad seed '" << value << "'";
             else if (key == "profile")
                 EXPECT_TRUE(
                     sb::opMixProfileFromName(value, entry.profile))

@@ -49,7 +49,8 @@
  *
  * Fuzz options (sbsim fuzz only):
  *   --programs N    random programs per campaign (default 50)
- *   --seed S        base seed; program i uses seed S+i (default 0xC0FFEE)
+ *   --seed S        base seed, decimal or 0x-hex; program i uses seed
+ *                   S+i (default 0xC0FFEE)
  *   --profile P     op-mix profile (mixed|alu|mem|branch|all; default all)
  *   --core C        core preset (small|medium|large|mega; default mega)
  *   --mitigation M  apply a software mitigation (isa/transform.hh) to
@@ -388,13 +389,12 @@ fuzzMain(int argc, char **argv)
             }
             params.programs = static_cast<unsigned>(v);
         } else if (arg == "--seed") {
-            const unsigned long long v =
-                std::strtoull(argv[i], &end, 0);
-            if (end == argv[i] || *end != '\0' || errno != 0) {
-                std::fprintf(stderr, "--seed wants a 64-bit integer\n");
+            if (!sb::parseFuzzSeed(argv[i], params.baseSeed)) {
+                std::fprintf(stderr,
+                             "--seed wants a 64-bit decimal or 0x-hex "
+                             "integer\n");
                 return 2;
             }
-            params.baseSeed = v;
         } else if (arg == "--profile") {
             sb::OpMixProfile profile;
             if (std::string(argv[i]) == "all") {

@@ -19,6 +19,9 @@ namespace sb
 /** Simulated clock cycle count. */
 using Cycle = std::uint64_t;
 
+/** "No timed event pending" (TimingWheel::nextDue and friends). */
+constexpr Cycle neverCycle = std::numeric_limits<Cycle>::max();
+
 /** Global dynamic-instruction sequence number (program order). */
 using SeqNum = std::uint64_t;
 

@@ -52,6 +52,10 @@ Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
         switchAt[sp.pc] = sp.to;
     for (const TenantEntry &te : prog.tenantEntries)
         tenantEntry[te.tenant] = te.pc;
+    quietCounters = {&st.cycles,        &st.schemeSelectBlocks,
+                     &st.iqFullStalls,  &st.robFullStalls,
+                     &st.freelistStalls, &st.branchCapStalls,
+                     &st.lsuFullStalls, &st.fenceStalls};
     schemePtr->attach(*this);
 }
 
@@ -113,6 +117,7 @@ Core::readArchReg(ArchReg reg) const
 void
 Core::scheduleWakeup(PhysReg preg, Cycle at)
 {
+    tickBusy = true;
     applyWakeup(preg, at);
 }
 
@@ -145,7 +150,10 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
     unsigned untilCheck = 4096;
     while (!haltedFlag && !watchdogTrippedFlag && committedCount < target
            && cycle < limit) {
+        const QuietSnapshot before = quietSnapshot();
         tick();
+        if (!tickBusy && !watchdogTrippedFlag)
+            skipQuietCycles(limit, before);
         if (supervised && --untilCheck == 0) {
             untilCheck = 4096;
             if (wallStopRequested())
@@ -163,6 +171,54 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
     r.halted = haltedFlag;
     r.watchdogTripped = watchdogTrippedFlag;
     return r;
+}
+
+Core::QuietSnapshot
+Core::quietSnapshot() const
+{
+    QuietSnapshot snap;
+    for (std::size_t i = 0; i < numQuietCounters; ++i)
+        snap[i] = quietCounters[i]->value();
+    return snap;
+}
+
+Cycle
+Core::nextEventCycle(Cycle limit) const
+{
+    // Every comparison of a stored cycle against `cycle` in the tick
+    // phases is a source here; missing one would jump over its timer.
+    Cycle next = limit + 1; // The tick at `limit` is run()'s last.
+    const auto consider = [&](Cycle at) {
+        if (at > cycle && at < next)
+            next = at;
+    };
+    consider(completions.nextDue(cycle));
+    consider(wakeups.nextDue(cycle));
+    if (!decodeQueue.empty())
+        consider(decodeQueue.front().readyAt);
+    consider(fetchStallUntil);
+    consider(divBusyUntil);
+    consider(fdivBusyUntil);
+    consider(schemePtr->nextTimedEvent());
+    if (!haltedFlag && !rob.empty())
+        consider(lastCommitCycle + stallLimit() + 1); // Watchdog.
+    return next;
+}
+
+void
+Core::skipQuietCycles(Cycle limit, const QuietSnapshot &before)
+{
+    // A quiet tick left every structure as it found it, so each later
+    // tick repeats it exactly (same vetoes, same stalls) until a
+    // timed event fires: run those ticks as one bulk charge.
+    const Cycle wake = nextEventCycle(limit);
+    if (wake <= cycle + 1)
+        return;
+    const Cycle k = wake - 1 - cycle;
+    for (std::size_t i = 0; i < numQuietCounters; ++i)
+        *quietCounters[i] += (quietCounters[i]->value() - before[i]) * k;
+    cycle += k;
+    skipped += k;
 }
 
 void
@@ -219,6 +275,7 @@ Core::tick()
 {
     ++cycle;
     ++st.cycles;
+    tickBusy = false;
     memPortsUsed = 0;
     shadows.latchPrev();
 
@@ -247,10 +304,8 @@ Core::tick()
     // Forward-progress watchdog: a stuck pipeline is a simulator bug.
     // In soft mode (fuzz harness) the run ends with a liveness flag
     // instead of aborting, so the failing seed can be reported.
-    const Cycle stall_limit =
-        softWatchdogCycles ? softWatchdogCycles : 100000;
     if (!haltedFlag && !rob.empty()
-        && cycle - lastCommitCycle > stall_limit) {
+        && cycle - lastCommitCycle > stallLimit()) {
         if (softWatchdogCycles) {
             watchdogTrippedFlag = true;
             return;
@@ -322,6 +377,7 @@ Core::commitPhase()
 
         rob.pop_front();
         ++n;
+        tickBusy = true;
 
         // The record dies with its ROB entry; the store drain below
         // commit works entirely from the SQ entry's cached fields.
@@ -355,6 +411,7 @@ Core::drainStores()
         SqEntry *entry = lsu.drainableStore();
         if (!entry)
             break;
+        tickBusy = true; // Even a rejected attempt touches the caches.
         MemAccessResult res =
             mem.access(entry->addr, entry->pc, cycle, true);
         if (!res.accepted)
@@ -373,7 +430,7 @@ Core::drainStores()
 void
 Core::writebackPhase()
 {
-    wakeups.drainDue(cycle, [this](WakeupEvent &ev) {
+    tickBusy |= wakeups.drainDue(cycle, [this](WakeupEvent &ev) {
         // Stale epoch: the register was re-allocated, so the producer
         // that scheduled this broadcast was squashed.
         if (pregEpoch[ev.preg] != ev.epoch)
@@ -382,7 +439,7 @@ Core::writebackPhase()
         iq.wakeup(ev.preg);
     });
 
-    completions.drainDue(cycle, [this](CompletionEvent &ev) {
+    tickBusy |= completions.drainDue(cycle, [this](CompletionEvent &ev) {
         DynInst *inst = slab.tryGet(ev.inst);
         if (!inst)
             return; // Squashed (record freed) before completion.
@@ -418,6 +475,9 @@ Core::executePhase()
     // comparator must revalidate (stale entries order last); the loop
     // below revalidates again per element because an older branch may
     // squash the rest of the list mid-phase.
+    if (execNow.empty())
+        return;
+    tickBusy = true;
     constexpr std::uint64_t staleSeq = ~std::uint64_t(0);
     std::sort(execNow.begin(), execNow.end(),
               [this](InstHandle a, InstHandle b) {
@@ -613,7 +673,10 @@ void
 Core::shadowPhase()
 {
     safeScratch.clear();
+    const SeqNum vp = shadows.visibilityPoint();
     shadows.update(lastRenamedSeq + 1, safeScratch);
+    if (shadows.visibilityPoint() != vp)
+        tickBusy = true;
     // Schemes observe the visibility point directly (and drain their
     // own pending queues in tick()); the monitor needs no callback.
     st.loadsBecameSafe += safeScratch.size();
@@ -629,6 +692,8 @@ Core::selectPhase()
     // Retry loads stalled on MSHRs or forwarding data first: they
     // already own an issue, only the memory port is re-arbitrated.
     std::size_t retries = retryLoads.size();
+    if (retries > 0)
+        tickBusy = true;
     while (retries-- > 0 && !retryLoads.empty()
            && memPortsUsed < cfg.memPorts) {
         const InstHandle h = retryLoads.front();
@@ -770,6 +835,9 @@ Core::selectPhase()
 
     for (InstHandle h : fully_issued)
         iq.remove(slab.get(h));
+    // Every candidate that took a slot either issued or was killed.
+    if (slots != cfg.issueWidth)
+        tickBusy = true;
 }
 
 void
@@ -817,6 +885,7 @@ Core::dispatchPhase()
         iq.insert(h, inst, s1, s2);
         dispatchQueue.pop_front();
         ++n;
+        tickBusy = true;
     }
 }
 
@@ -903,8 +972,10 @@ Core::renamePhase()
         decodeQueue.pop_front();
         ++n;
     }
-    if (!group.empty())
+    if (!group.empty()) {
+        tickBusy = true;
         schemePtr->onRenameGroup(group);
+    }
 }
 
 void
@@ -920,6 +991,7 @@ Core::decodePhase()
         decodeQueue.push_back(slot);
         fetchQueue.pop_front();
         ++n;
+        tickBusy = true;
     }
 }
 
@@ -931,6 +1003,7 @@ Core::fetchPhase()
     unsigned n = 0;
     while (n < cfg.fetchWidth
            && fetchQueue.size() < cfg.fetchBufferEntries) {
+        tickBusy = true; // Allocates a record or halts fetch.
         if (pc >= program->code.size()) {
             // Wrong-path runoff past the program end: wait for the
             // inevitable squash.
@@ -995,6 +1068,7 @@ void
 Core::squash(SeqNum from_seq, std::uint32_t new_pc)
 {
     std::uint64_t count = 0;
+    tickBusy = true;
 
     // Front-end queues hold the only reference to their records:
     // free directly.

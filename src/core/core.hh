@@ -31,6 +31,7 @@
 #ifndef SB_CORE_CORE_HH
 #define SB_CORE_CORE_HH
 
+#include <array>
 #include <chrono>
 #include <deque>
 #include <functional>
@@ -195,10 +196,15 @@ class Core
     Core(const CoreConfig &config, const SchemeConfig &scheme_config,
          std::unique_ptr<SecureScheme> scheme, const Program &program);
 
-    /** Run until @p max_insts commits, @p max_cycles, or a halt. */
+    /**
+     * Run until @p max_insts commits, @p max_cycles, or a halt.
+     * After a tick that changed nothing the clock jumps to one cycle
+     * before the next timed event (the quiet-cycle skip); every
+     * simulated result is the same as ticking each cycle.
+     */
     RunResult run(std::uint64_t max_insts, std::uint64_t max_cycles);
 
-    /** Advance one cycle. */
+    /** Advance one cycle (never skips). */
     void tick();
 
     // --- Accessors ------------------------------------------------------
@@ -252,7 +258,12 @@ class Core
      * port like an MSHR-rejected retry (scheme tick() runs before the
      * select phase, so a load released there retries the same cycle).
      */
-    void retryLoad(InstHandle load) { retryLoads.push_back(load); }
+    void
+    retryLoad(InstHandle load)
+    {
+        retryLoads.push_back(load);
+        tickBusy = true;
+    }
 
     /** Per-commit observer (used by examples, e.g. the attack PoC). */
     using CommitHook = std::function<void(const DynInst &, Cycle)>;
@@ -347,6 +358,10 @@ class Core
     /** True once the wall-clock deadline ended the run. */
     bool wallDeadlineHit() const { return wallDeadlineHitFlag; }
 
+    /** Cycles run() charged without ticking (quiet-cycle skip).
+     *  Engine diagnostics: deliberately not in stats(). */
+    std::uint64_t skippedCycles() const { return skipped; }
+
   private:
     // --- Pipeline phases (called back-to-front from tick()) -----------
     void commitPhase();
@@ -399,6 +414,28 @@ class Core
                               std::uint32_t marker_pc, TenantId to);
 
     bool speculativeSchedulingEnabled() const;
+
+    /** Commit-less cycles before the watchdog acts. */
+    Cycle
+    stallLimit() const
+    {
+        return softWatchdogCycles ? softWatchdogCycles : 100000;
+    }
+
+    // --- Quiet-cycle skip (run() only) ------------------------------------
+    /** The counters a quiet tick can still move; each skipped cycle
+     *  repeats the quiet tick's delta. */
+    static constexpr std::size_t numQuietCounters = 8;
+    using QuietSnapshot = std::array<std::uint64_t, numQuietCounters>;
+    QuietSnapshot quietSnapshot() const;
+
+    /** Earliest cycle after now at which a timer could make a tick
+     *  act, capped at run()'s last cycle + 1. */
+    Cycle nextEventCycle(Cycle limit) const;
+
+    /** After a quiet tick: jump to one cycle before nextEventCycle()
+     *  and charge the skipped cycles the quiet tick's deltas. */
+    void skipQuietCycles(Cycle limit, const QuietSnapshot &before);
 
     // --- Configuration -----------------------------------------------------
     CoreConfig cfg;
@@ -522,12 +559,23 @@ class Core
     bool wallStopRequested();
     InvariantChecker inv;
 
-    /** Emit a trace event if a hook is attached. */
+    /**
+     * Set by any tick phase that changes pipeline state (see
+     * skipQuietCycles); a tick that leaves it clear is quiet.
+     */
+    bool tickBusy = false;
+    std::array<Counter *, numQuietCounters> quietCounters;
+    std::uint64_t skipped = 0;
+
+    /** Emit a trace event if a hook is attached. A traced cycle is
+     *  busy, so hooks see every per-cycle event (e.g. "block"). */
     void
     trace(const char *event, const DynInst &inst)
     {
-        if (traceHook)
+        if (traceHook) {
+            tickBusy = true;
             traceHook(event, inst, cycle);
+        }
     }
 
     /** syncEngineStats() watermarks (deltas survive group resets). */

@@ -100,6 +100,17 @@ class SecureScheme
     virtual void tick() {}
 
     /**
+     * Earliest cycle after now at which tick() could act on a timer
+     * alone, or neverCycle. The core skips cycles in which nothing
+     * changes (Core::run), waking at the earliest timed event; a
+     * scheme whose tick() compares a stored cycle against now must
+     * report it here or its timer would be jumped over. Work gated
+     * on the visibility point needs nothing: every move of it makes
+     * the cycle busy.
+     */
+    virtual Cycle nextTimedEvent() const { return neverCycle; }
+
+    /**
      * Squash walk-back: called per squashed instruction, youngest
      * first, so rename-stage taint state can be unwound exactly
      * (the functional equivalent of checkpoint restore +

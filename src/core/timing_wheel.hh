@@ -11,15 +11,19 @@
  * engine. Events beyond the horizon (possible for scheme-owned
  * deferred broadcasts) spill into a rarely-touched overflow vector.
  *
- * Invariant: drainDue(now) is called once per cycle with `now`
- * advancing by exactly 1, so bucket[now & mask] only ever holds
- * events due exactly at `now`.
+ * Invariant: bucket[now & mask] only ever holds events due exactly
+ * at `now`. drainDue(now) is normally called once per cycle; the
+ * clock may also jump forward, but never past nextDue() (the core's
+ * quiet-cycle skip): a skipped cycle's bucket is empty, and an
+ * overflow event is only wheeled while its cycle is still ahead.
  */
 
 #ifndef SB_CORE_TIMING_WHEEL_HH
 #define SB_CORE_TIMING_WHEEL_HH
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -39,6 +43,7 @@ class TimingWheel
         while (n <= horizon)
             n <<= 1;
         buckets.resize(n);
+        occupied.assign((n + 63) / 64, 0);
         mask = n - 1;
     }
 
@@ -59,7 +64,7 @@ class TimingWheel
             at = now + 1;
         ++liveEvents;
         if (at - now <= mask) {
-            buckets[at & mask].push_back(std::move(ev));
+            place(at, std::move(ev));
         } else {
             overflow.emplace_back(at, std::move(ev));
         }
@@ -67,17 +72,21 @@ class TimingWheel
 
     /**
      * Invoke @p fn on every event due at @p now, in FIFO push order.
-     * @p fn may push new (strictly future) events.
+     * @p fn may push new (strictly future) events. Returns whether
+     * any event was due.
      */
     template <typename Fn>
-    void
+    bool
     drainDue(Cycle now, Fn &&fn)
     {
         if (liveEvents == 0)
-            return;
+            return false;
         if (!overflow.empty())
             reapOverflow(now);
-        auto &bucket = buckets[now & mask];
+        const std::size_t idx = now & mask;
+        auto &bucket = buckets[idx];
+        if (bucket.empty())
+            return false;
         // Handlers push only into other cycles' buckets (delay >= 1),
         // so iterating by index while the wheel grows elsewhere is
         // safe; `bucket` itself cannot be appended to.
@@ -86,6 +95,41 @@ class TimingWheel
             fn(bucket[i]);
         }
         bucket.clear(); // Keeps capacity: zero steady-state allocation.
+        occupied[idx / 64] &= ~(std::uint64_t(1) << (idx % 64));
+        return true;
+    }
+
+    /**
+     * Earliest cycle after @p now with an event due, or neverCycle.
+     * Call it once drainDue(@p now) has run. The overflow lane is
+     * included: a clock that jumped past an overflow event would
+     * never reap it (reapOverflow's unsigned distance wraps).
+     */
+    Cycle
+    nextDue(Cycle now) const
+    {
+        if (liveEvents == 0)
+            return neverCycle;
+        Cycle next = neverCycle;
+        for (const auto &entry : overflow)
+            next = std::min(next, entry.first);
+        // Scan the occupancy bitmap circularly from bucket now + 1;
+        // bucket now itself was just drained.
+        const std::size_t n = buckets.size();
+        std::size_t idx = (now + 1) & mask;
+        for (std::size_t dist = 0; dist + 1 < n;) {
+            const std::size_t span =
+                std::min({64 - idx % 64, n - idx, n - 1 - dist});
+            std::uint64_t bits = occupied[idx / 64] >> (idx % 64);
+            if (span < 64)
+                bits &= (std::uint64_t(1) << span) - 1;
+            if (bits != 0)
+                return std::min(next, now + 1 + dist
+                                          + __builtin_ctzll(bits));
+            dist += span;
+            idx = (idx + span) & mask;
+        }
+        return next;
     }
 
     void
@@ -94,6 +138,7 @@ class TimingWheel
         for (auto &b : buckets)
             b.clear();
         overflow.clear();
+        std::fill(occupied.begin(), occupied.end(), 0);
         liveEvents = 0;
     }
 
@@ -107,8 +152,7 @@ class TimingWheel
             auto &entry = overflow[i];
             if (entry.first - now <= mask) {
                 // Due this cycle or within the horizon: wheel it.
-                buckets[entry.first & mask].push_back(
-                    std::move(entry.second));
+                place(entry.first, std::move(entry.second));
             } else {
                 overflow[kept++] = std::move(entry);
             }
@@ -116,7 +160,18 @@ class TimingWheel
         overflow.resize(kept);
     }
 
+    /** Append @p ev to the bucket of cycle @p at and mark it occupied. */
+    void
+    place(Cycle at, Event ev)
+    {
+        const std::size_t idx = at & mask;
+        buckets[idx].push_back(std::move(ev));
+        occupied[idx / 64] |= std::uint64_t(1) << (idx % 64);
+    }
+
     std::vector<std::vector<Event>> buckets;
+    /** One bit per bucket: set while the bucket holds events. */
+    std::vector<std::uint64_t> occupied;
     std::vector<std::pair<Cycle, Event>> overflow;
     std::size_t mask = 0;
     std::size_t liveEvents = 0;

@@ -1,5 +1,7 @@
 #include "secure/nda.hh"
 
+#include <iterator>
+
 #include "common/logging.hh"
 
 namespace sb
@@ -15,8 +17,19 @@ NdaScheme::deferBroadcast(InstHandle /* h */, const DynInst &inst,
         return false;
     // Data is already in the register file; only the broadcast waits
     // (split data-write / broadcast, Fig. 5b).
-    pending.push_back(Pending{inst.seq, inst.pdst, coreRef->now()});
+    enqueue(Pending{inst.seq, inst.pdst, coreRef->now()});
     return true;
+}
+
+void
+NdaScheme::enqueue(const Pending &p)
+{
+    // Results complete nearly in age order, so the slot is almost
+    // always at or near the back.
+    auto pos = pending.end();
+    while (pos != pending.begin() && std::prev(pos)->seq > p.seq)
+        --pos;
+    pending.insert(pos, p);
 }
 
 unsigned
@@ -34,10 +47,6 @@ NdaScheme::tick()
     // Broadcast non-speculative results oldest-first, limited to the
     // broadcast-port budget per cycle. Squashed producers cannot be
     // here: every squash erases them by sequence number in onSquash.
-    std::sort(pending.begin(), pending.end(),
-              [](const Pending &a, const Pending &b) {
-                  return a.seq < b.seq;
-              });
     unsigned budget = broadcastBudget();
     const Cycle now = coreRef->now();
     while (budget > 0 && !pending.empty()) {
@@ -49,6 +58,21 @@ NdaScheme::tick()
         pending.pop_front();
         --budget;
     }
+}
+
+Cycle
+NdaScheme::nextTimedEvent() const
+{
+    // A broadcast held only by its readyAt fires once that cycle
+    // arrives; one held by the visibility point waits for a busy
+    // cycle anyway, so the earliest future readyAt is a safe wakeup.
+    const Cycle now = coreRef->now();
+    Cycle next = neverCycle;
+    for (const Pending &p : pending) {
+        if (p.readyAt > now)
+            next = std::min(next, p.readyAt);
+    }
+    return next;
 }
 
 void
@@ -69,7 +93,7 @@ NdaStrictScheme::deferBroadcast(InstHandle /* h */, const DynInst &inst,
         return false;
     if (!coreRef->isSpeculative(inst.seq))
         return false;
-    pending.push_back(Pending{inst.seq, inst.pdst, ready_at});
+    enqueue(Pending{inst.seq, inst.pdst, ready_at});
     return true;
 }
 

@@ -44,6 +44,7 @@ class NdaScheme : public SecureScheme
     bool deferBroadcast(InstHandle h, const DynInst &inst,
                         Cycle ready_at) override;
     void tick() override;
+    Cycle nextTimedEvent() const override;
     void onSquash(SeqNum youngest_surviving) override;
     void reset() override { pending.clear(); }
 
@@ -71,7 +72,11 @@ class NdaScheme : public SecureScheme
     /** Broadcast-port budget per cycle. */
     virtual unsigned broadcastBudget() const;
 
+    /** Queue @p p, keeping pending ordered by seq. */
+    void enqueue(const Pending &p);
+
     SchemeConfig schemeCfg;
+    /** Deferred broadcasts, oldest producer (lowest seq) first. */
     std::deque<Pending> pending;
 };
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the core's microarchitectural components: rename
- * map, issue queue, LSU, shadow tracker, and the label engine's
- * always-on obligation half.
+ * map, issue queue, LSU, shadow tracker, the label engine's
+ * always-on obligation half, and the quiet-cycle skip of Core::run.
  *
  * Components address instructions through InstSlab handles, so each
  * test owns a small slab and the helpers hand back handles.
@@ -10,12 +10,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <string>
+
+#include "common/config.hh"
 #include "core/contract_shadow.hh"
+#include "core/core.hh"
 #include "core/inst_slab.hh"
 #include "core/issue_queue.hh"
 #include "core/lsu.hh"
 #include "core/rename_map.hh"
 #include "core/shadow_tracker.hh"
+#include "secure/factory.hh"
+#include "trace/kernels.hh"
+#include "trace/server_mix.hh"
 
 namespace
 {
@@ -672,6 +681,207 @@ TEST(Monitor, AllocationClearsOldState)
     b.psrc1 = 20;
     mon.onConsume(b, 0, 5, true, false, true);
     EXPECT_EQ(mon.transmitViolations(), 0u);
+}
+
+// --- Quiet-cycle skip ------------------------------------------------
+
+/** Vetoes every load forever, recording when it was first asked and
+ *  how often in that cycle. */
+class VetoLoadsScheme : public sb::SecureScheme
+{
+  public:
+    bool
+    selectVeto(const sb::DynInst &inst, bool) override
+    {
+        if (!inst.isLoad())
+            return false;
+        const sb::Cycle now = coreRef->now();
+        if (calls == 0)
+            firstCycle = now;
+        if (now == firstCycle)
+            ++firstCycleVetoes;
+        ++calls;
+        return true;
+    }
+
+    std::uint64_t calls = 0;
+    sb::Cycle firstCycle = 0;
+    std::uint64_t firstCycleVetoes = 0;
+};
+
+/** One committed movi, then two ready loads the scheme never lets
+ *  issue: the ROB head stalls until the soft watchdog trips. */
+sb::Program
+stalledLoadsProgram()
+{
+    sb::ProgramBuilder b;
+    b.movi(1, 0x1000);
+    b.load(2, 1, 0);
+    b.load(3, 1, 8);
+    b.halt();
+    return b.build("stalled-loads");
+}
+
+std::uint64_t
+counter(sb::Core &core, const char *name)
+{
+    return core.stats().counters().at(name).value();
+}
+
+std::map<std::string, std::uint64_t>
+counterValues(const sb::StatGroup &group)
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const auto &[name, c] : group.counters())
+        out[name] = c.value();
+    return out;
+}
+
+TEST(QuietSkip, SoftWatchdogTripsOnTimeAndVetoesAreChargedPerCycle)
+{
+    const sb::Program prog = stalledLoadsProgram();
+    auto scheme = std::make_unique<VetoLoadsScheme>();
+    VetoLoadsScheme &veto = *scheme;
+    sb::Core core(sb::CoreConfig::mega(), sb::SchemeConfig{},
+                  std::move(scheme), prog);
+    sb::Cycle last_commit = 0;
+    core.setCommitHook(
+        [&](const sb::DynInst &, sb::Cycle c) { last_commit = c; });
+    const sb::Cycle limit = 5000;
+    core.setSoftWatchdog(limit);
+
+    const sb::RunResult r = core.run(1000, 1'000'000);
+    ASSERT_TRUE(r.watchdogTripped);
+    EXPECT_EQ(r.instructions, 1u);
+    EXPECT_EQ(r.cycles, last_commit + limit + 1);
+    // Both loads are vetoed in every cycle from the first veto to the
+    // trip, inclusive, though the scheme was asked far less often.
+    EXPECT_EQ(veto.firstCycleVetoes, 2u);
+    EXPECT_EQ(counter(core, "scheme_select_blocks"),
+              veto.firstCycleVetoes * (r.cycles - veto.firstCycle + 1));
+    EXPECT_LT(veto.calls, counter(core, "scheme_select_blocks"));
+    EXPECT_GT(core.skippedCycles(), 0u);
+}
+
+TEST(QuietSkip, TracedRunSeesEveryBlockEvent)
+{
+    const sb::Program prog = stalledLoadsProgram();
+    sb::Core core(sb::CoreConfig::mega(), sb::SchemeConfig{},
+                  std::make_unique<VetoLoadsScheme>(), prog);
+    std::uint64_t block_events = 0;
+    core.setTraceHook([&](const char *event, const sb::DynInst &,
+                          sb::Cycle) {
+        if (std::strncmp(event, "block", 5) == 0)
+            ++block_events;
+    });
+    core.setSoftWatchdog(2000);
+    ASSERT_TRUE(core.run(1000, 1'000'000).watchdogTripped);
+    EXPECT_GT(block_events, 2000u);
+    EXPECT_EQ(block_events, counter(core, "scheme_select_blocks"));
+}
+
+/** Vetoes every load until a fixed cycle: a timer only the scheme
+ *  knows about, reported through nextTimedEvent(). */
+class TimedReleaseScheme : public sb::SecureScheme
+{
+  public:
+    explicit TimedReleaseScheme(sb::Cycle at) : releaseAt(at) {}
+
+    bool
+    selectVeto(const sb::DynInst &inst, bool) override
+    {
+        return inst.isLoad() && coreRef->now() < releaseAt;
+    }
+
+    sb::Cycle
+    nextTimedEvent() const override
+    {
+        return coreRef->now() < releaseAt ? releaseAt : sb::neverCycle;
+    }
+
+    sb::Cycle releaseAt;
+};
+
+TEST(QuietSkip, SchemeTimerIsNeverJumpedOver)
+{
+    const sb::Program prog = stalledLoadsProgram();
+    const sb::Cycle release = 3000;
+    sb::Core run_core(sb::CoreConfig::mega(), sb::SchemeConfig{},
+                      std::make_unique<TimedReleaseScheme>(release), prog);
+    sb::Core tick_core(sb::CoreConfig::mega(), sb::SchemeConfig{},
+                       std::make_unique<TimedReleaseScheme>(release),
+                       prog);
+    run_core.setSoftWatchdog(50000);
+
+    const sb::RunResult r = run_core.run(1000, 1'000'000);
+    while (!tick_core.halted())
+        tick_core.tick();
+    ASSERT_TRUE(r.halted);
+    EXPECT_GT(run_core.skippedCycles(), 0u);
+    EXPECT_EQ(r.cycles, tick_core.now());
+    EXPECT_GT(r.cycles, release);
+    EXPECT_EQ(counter(run_core, "scheme_select_blocks"),
+              counter(tick_core, "scheme_select_blocks"));
+}
+
+sb::Program
+dramBoundKernel()
+{
+    sb::PointerChaseParams params;
+    params.footprintBytes = 4u << 20;
+    return sb::makePointerChaseKernel(params);
+}
+
+TEST(QuietSkip, DramBoundKernelSkipsCycles)
+{
+    const sb::Program prog = dramBoundKernel();
+    sb::Core core(sb::CoreConfig::mega(), sb::SchemeConfig{}, nullptr,
+                  prog);
+    core.run(20000, 10'000'000);
+    EXPECT_GT(core.skippedCycles(), 0u);
+}
+
+/** Run @p prog for @p insts through run() and through a plain tick()
+ *  loop; every simulated output must agree. */
+void
+expectRunMatchesTicks(const sb::Program &prog, sb::Scheme scheme,
+                      std::uint64_t insts)
+{
+    SCOPED_TRACE(prog.name + " / " + sb::schemeName(scheme));
+    sb::SchemeConfig scfg;
+    scfg.scheme = scheme;
+    sb::Core run_core(sb::CoreConfig::mega(), scfg, sb::makeScheme(scfg),
+                      prog);
+    sb::Core tick_core(sb::CoreConfig::mega(), scfg, sb::makeScheme(scfg),
+                       prog);
+    run_core.enableObservationTrace();
+    tick_core.enableObservationTrace();
+
+    const sb::RunResult r = run_core.run(insts, 10'000'000);
+    while (!tick_core.halted() && tick_core.committedInstructions() < insts)
+        tick_core.tick();
+    tick_core.run(0, 0); // Publishes the engine-health counters.
+
+    EXPECT_GT(run_core.skippedCycles(), 0u);
+    EXPECT_EQ(tick_core.skippedCycles(), 0u);
+    EXPECT_EQ(r.cycles, tick_core.now());
+    EXPECT_EQ(counterValues(run_core.stats()),
+              counterValues(tick_core.stats()));
+    EXPECT_EQ(counterValues(run_core.memorySystem().stats()),
+              counterValues(tick_core.memorySystem().stats()));
+    EXPECT_TRUE(run_core.observationTrace() == tick_core.observationTrace());
+}
+
+TEST(QuietSkip, RunMatchesTickByTickUnderEveryScheme)
+{
+    // The pointer chase waits on DRAM; the server mix adds context
+    // switches, whose refill penalty is a fetch-stall timer.
+    const sb::Program chase = dramBoundKernel();
+    const sb::Program mix = sb::buildServerMix(sb::ServerMixParams{}).program;
+    for (sb::Scheme s : sb::allSchemes()) {
+        expectRunMatchesTicks(chase, s, 8000);
+        expectRunMatchesTicks(mix, s, 8000);
+    }
 }
 
 } // anonymous namespace

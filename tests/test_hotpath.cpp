@@ -444,6 +444,75 @@ TEST(TimingWheel, HandlersMayPushFutureEvents)
     EXPECT_EQ(got, (std::vector<int>{1, 2}));
 }
 
+TEST(TimingWheel, NextDueOfEmptyWheelIsNever)
+{
+    sb::TimingWheel<int> wheel(64);
+    EXPECT_EQ(wheel.nextDue(0), sb::neverCycle);
+    wheel.push(3, 0, 1);
+    wheel.drainDue(3, [](int) {});
+    EXPECT_EQ(wheel.nextDue(3), sb::neverCycle);
+}
+
+TEST(TimingWheel, NextDueFindsNearestBucket)
+{
+    sb::TimingWheel<int> wheel(64); // 128 buckets: spans two words.
+    wheel.push(170, 100, 1);
+    wheel.push(105, 100, 2);
+    wheel.push(190, 100, 3);
+    EXPECT_EQ(wheel.nextDue(100), 105u);
+    wheel.drainDue(105, [](int) {});
+    // The scan wraps past the end of the bucket array.
+    EXPECT_EQ(wheel.nextDue(105), 170u);
+    wheel.drainDue(170, [](int) {});
+    EXPECT_EQ(wheel.nextDue(170), 190u);
+}
+
+TEST(TimingWheel, NextDueSeesOverflowLaneBeyondHorizon)
+{
+    sb::TimingWheel<int> wheel(16); // 32 buckets.
+    wheel.push(1000, 1, 7);
+    wheel.push(20, 1, 8);
+    EXPECT_EQ(wheel.nextDue(1), 20u);
+    wheel.drainDue(20, [](int) {});
+    EXPECT_EQ(wheel.nextDue(20), 1000u);
+}
+
+TEST(TimingWheel, NextDueOfClampedPushIsNextCycle)
+{
+    sb::TimingWheel<int> wheel(64);
+    wheel.push(10, 10, 1);
+    EXPECT_EQ(wheel.nextDue(10), 11u);
+    sb::TimingWheel<int> past(64);
+    past.push(3, 10, 2);
+    EXPECT_EQ(past.nextDue(10), 11u);
+}
+
+TEST(TimingWheel, ClockJumpsToNextDueNeverLoseOverflowEvents)
+{
+    // Jumping the clock from one nextDue() to the next (draining only
+    // those cycles) delivers every event on time, overflow included.
+    sb::TimingWheel<int> wheel(16); // 32 buckets.
+    wheel.push(1000, 1, 7);
+    wheel.push(400, 1, 6);
+    std::vector<std::pair<sb::Cycle, int>> got;
+    for (sb::Cycle now = wheel.nextDue(1); now != sb::neverCycle;
+         now = wheel.nextDue(now))
+        wheel.drainDue(now, [&](int v) { got.emplace_back(now, v); });
+    EXPECT_EQ(got, (std::vector<std::pair<sb::Cycle, int>>{{400, 6},
+                                                           {1000, 7}}));
+
+    // Why nextDue() must report the overflow lane: reapOverflow
+    // measures `at - now` unsigned, so once the clock has passed an
+    // event still in the lane, the event never matures.
+    sb::TimingWheel<int> jumped(16);
+    jumped.push(1000, 1, 7);
+    int fired = 0;
+    for (sb::Cycle now = 1001; now < 1200; ++now)
+        jumped.drainDue(now, [&](int) { ++fired; });
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(jumped.size(), 1u);
+}
+
 // --- Stats reset -----------------------------------------------------
 
 TEST(StatGroupReset, ClearsHistogramsAndCounters)

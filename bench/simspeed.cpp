@@ -44,7 +44,8 @@ struct SchemeResult
 };
 
 SchemeResult
-runScheme(sb::Scheme scheme, std::uint64_t insts_per_workload)
+runScheme(sb::Scheme scheme, const std::vector<sb::Workload> &workloads,
+          std::uint64_t insts_per_workload)
 {
     using Clock = std::chrono::steady_clock;
 
@@ -56,8 +57,7 @@ runScheme(sb::Scheme scheme, std::uint64_t insts_per_workload)
     res.name = sb::schemeName(scheme);
 
     const auto t0 = Clock::now();
-    for (const auto &name : sb::SpecSuite::benchmarkNames()) {
-        const sb::Workload workload = sb::SpecSuite::make(name);
+    for (const sb::Workload &workload : workloads) {
         sb::Core core(core_cfg, scheme_cfg, sb::makeScheme(scheme_cfg),
                       workload.program);
         const sb::RunResult r =
@@ -92,11 +92,16 @@ main(int argc, char **argv)
     std::printf("%-12s %14s %14s %10s %10s %9s\n", "scheme", "insts",
                 "cycles", "wall[s]", "MIPS", "skipped");
 
+    // Build every workload up front, so each scheme's wall time
+    // covers simulation only (SpecSuite memoizes, so otherwise the
+    // first scheme alone would pay the builds).
+    const std::vector<sb::Workload> workloads = sb::SpecSuite::all();
+
     std::vector<SchemeResult> results;
     for (sb::Scheme s :
          {sb::Scheme::Baseline, sb::Scheme::SttRename,
           sb::Scheme::SttIssue, sb::Scheme::Nda}) {
-        SchemeResult r = runScheme(s, insts);
+        SchemeResult r = runScheme(s, workloads, insts);
         const double skipped_pct =
             r.cycles == 0 ? 0.0
                           : 100.0 * static_cast<double>(r.skippedCycles)

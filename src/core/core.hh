@@ -33,7 +33,6 @@
 
 #include <array>
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -42,6 +41,7 @@
 #include "branch/btb.hh"
 #include "branch/tage.hh"
 #include "common/config.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "core/contract_shadow.hh"
 #include "core/decode_cache.hh"
@@ -474,10 +474,10 @@ class Core
         InstHandle inst = invalidInstHandle;
         Cycle readyAt = 0;
     };
-    std::deque<InstHandle> fetchQueue;
-    std::deque<DecodeSlot> decodeQueue;
-    std::deque<InstHandle> dispatchQueue;
-    std::deque<InstHandle> rob;
+    Ring<InstHandle> fetchQueue;
+    Ring<DecodeSlot> decodeQueue;
+    Ring<InstHandle> dispatchQueue;
+    Ring<InstHandle> rob;
     IssueQueue iq;
     Lsu lsu;
 
@@ -497,7 +497,7 @@ class Core
     TimingWheel<WakeupEvent> wakeups;
     std::vector<InstHandle> execNow;   ///< Executing this cycle.
     std::vector<InstHandle> execNext;  ///< Selected, executes next cycle.
-    std::deque<InstHandle> retryLoads; ///< MSHR-reject retries.
+    Ring<InstHandle> retryLoads; ///< MSHR-reject retries.
     /** Per-cycle scratch buffers (members so their capacity is kept
      *  across cycles: the steady-state hot path never allocates). */
     std::vector<InstHandle> issuedScratch;

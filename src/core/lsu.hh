@@ -25,9 +25,9 @@
 #ifndef SB_CORE_LSU_HH
 #define SB_CORE_LSU_HH
 
-#include <deque>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "core/dyn_inst.hh"
 #include "core/inst_slab.hh"
@@ -78,7 +78,7 @@ struct ForwardOutcome
     bool bypassedUnknown = false;
 };
 
-/** Load and store queues (program-ordered deques). */
+/** Load and store queues (program-ordered rings). */
 class Lsu
 {
   public:
@@ -144,8 +144,8 @@ class Lsu
 
     unsigned lqCap;
     unsigned sqCap;
-    std::deque<LqEntry> lq;
-    std::deque<SqEntry> sq;
+    Ring<LqEntry> lq;
+    Ring<SqEntry> sq;
 };
 
 } // namespace sb

@@ -22,9 +22,9 @@
 #ifndef SB_CORE_SHADOW_TRACKER_HH
 #define SB_CORE_SHADOW_TRACKER_HH
 
-#include <deque>
 #include <vector>
 
+#include "common/ring.hh"
 #include "core/dyn_inst.hh"
 #include "core/inst_slab.hh"
 
@@ -73,9 +73,9 @@ class ShadowTracker
     };
 
     const InstSlab *slab = nullptr;
-    std::deque<Entry> branches;  ///< Unresolved C-shadow sources.
-    std::deque<Entry> stores;    ///< Unknown-address D-shadow sources.
-    std::deque<Entry> specLoads; ///< Loads awaiting the point.
+    Ring<Entry> branches;  ///< Unresolved C-shadow sources.
+    Ring<Entry> stores;    ///< Unknown-address D-shadow sources.
+    Ring<Entry> specLoads; ///< Loads awaiting the point.
     SeqNum vp = 0;
     SeqNum vpPrev = 0;
 };

@@ -9,7 +9,7 @@ namespace sb
 {
 
 const MemoryImage::Slot *
-MemoryImage::findSlot(Addr aligned) const
+MemoryImage::Table::find(Addr aligned) const
 {
     if (slots.empty())
         return nullptr;
@@ -20,11 +20,34 @@ MemoryImage::findSlot(Addr aligned) const
             return &slots[i];
         i = (i + 1) & mask;
     }
-    return &slots[i]; // First empty slot on the probe path.
+    return nullptr;
+}
+
+MemoryImage::Slot &
+MemoryImage::Table::insert(Addr aligned, bool &inserted)
+{
+    // Keep the load factor under ~70% (count is pre-incremented for
+    // the possible insert).
+    if ((count + 1) * 10 >= slots.size() * 7)
+        grow(2 * slots.size() + ((count + 1) * 2));
+
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = probeStart(aligned, mask);
+    while (slots[i].addr != emptySlot) {
+        if (slots[i].addr == aligned) {
+            inserted = false;
+            return slots[i];
+        }
+        i = (i + 1) & mask;
+    }
+    slots[i].addr = aligned;
+    ++count;
+    inserted = true;
+    return slots[i];
 }
 
 void
-MemoryImage::grow(std::size_t min_capacity)
+MemoryImage::Table::grow(std::size_t min_capacity)
 {
     std::size_t cap = 64;
     while (cap < min_capacity)
@@ -46,27 +69,23 @@ MemoryImage::grow(std::size_t min_capacity)
 void
 MemoryImage::write(Addr addr, Word value)
 {
-    // Keep the load factor under ~70% (count is pre-incremented for
-    // the possible insert).
-    if ((count + 1) * 10 >= slots.size() * 7)
-        grow(2 * slots.size() + ((count + 1) * 2));
-
     const Addr a = align(addr);
-    Slot *s = const_cast<Slot *>(findSlot(a));
-    if (s->addr == emptySlot) {
-        s->addr = a;
-        ++count;
-    }
-    s->value = value;
+    bool inserted = false;
+    overlay.insert(a, inserted).value = value;
+    if (inserted && base && base->table.find(a))
+        ++shadowed;
 }
 
 Word
 MemoryImage::read(Addr addr) const
 {
     const Addr a = align(addr);
-    const Slot *s = findSlot(a);
-    if (s && s->addr == a)
+    if (const Slot *s = overlay.find(a))
         return s->value;
+    if (base) {
+        if (const Slot *s = base->table.find(a))
+            return s->value;
+    }
     return backgroundValue(a);
 }
 
@@ -74,27 +93,71 @@ bool
 MemoryImage::contains(Addr addr) const
 {
     const Addr a = align(addr);
-    const Slot *s = findSlot(a);
-    return s && s->addr == a;
+    return overlay.find(a) || (base && base->table.find(a));
 }
+
+namespace
+{
+
+/** One (address, word) pair's term in the fingerprint fold. */
+Word
+pairHash(Addr addr, Word value)
+{
+    return fnv1aWord(fnv1aWord(fnv1aBasis, addr), value);
+}
+
+} // anonymous namespace
 
 Word
 MemoryImage::fingerprint() const
 {
     // Hash each (addr, value) pair independently and combine with a
-    // commutative fold, so the table's slot order (which differs with
-    // capacity and insertion history) cannot leak into the digest.
+    // commutative fold, so neither the tables' slot order (which
+    // differs with capacity and insertion history) nor the split
+    // between base and overlay can leak into the digest. The base's
+    // fold is precomputed at freeze; an overlay word that shadows a
+    // base word takes the base term back out (sum is modular, mix is
+    // self-inverse), which costs O(overlay), not O(image).
     Word sum = 0x9ae16a3b2f90404fULL;
     Word mix = 0;
-    for (const Slot &s : slots) {
+    if (base) {
+        sum += base->sum;
+        mix ^= base->mix;
+    }
+    for (const Slot &s : overlay.slots) {
         if (s.addr == emptySlot)
             continue;
-        const Word h =
-            fnv1aWord(fnv1aWord(fnv1aBasis, s.addr), s.value);
+        if (base) {
+            if (const Slot *old = base->table.find(s.addr)) {
+                const Word h = pairHash(old->addr, old->value);
+                sum -= h;
+                mix ^= h;
+            }
+        }
+        const Word h = pairHash(s.addr, s.value);
         sum += h;
         mix ^= h;
     }
-    return (sum ^ (mix * 0xff51afd7ed558ccdULL)) + count;
+    return (sum ^ (mix * 0xff51afd7ed558ccdULL)) + size();
+}
+
+void
+MemoryImage::freeze()
+{
+    sb_assert(!base, "memory image frozen twice");
+    if (overlay.count == 0)
+        return;
+    auto frozen = std::make_shared<Base>();
+    frozen->table = std::move(overlay);
+    for (const Slot &s : frozen->table.slots) {
+        if (s.addr == emptySlot)
+            continue;
+        const Word h = pairHash(s.addr, s.value);
+        frozen->sum += h;
+        frozen->mix ^= h;
+    }
+    base = std::move(frozen);
+    overlay = Table{};
 }
 
 Word
@@ -413,6 +476,7 @@ ProgramBuilder::build(std::string name)
     Program p;
     p.code = std::move(code);
     p.memory = std::move(mem);
+    p.memory.freeze();
     p.name = std::move(name);
     p.secretRegions = std::move(secrets);
     p.switchPoints = std::move(switches);

@@ -12,6 +12,7 @@
 #define SB_ISA_PROGRAM_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,14 @@ namespace sb
 /**
  * Sparse functional memory image. Word-granular (8 bytes), addresses
  * are rounded down to the containing word.
+ *
+ * An image is a frozen base shared by every copy plus a private write
+ * overlay. Writes land in the overlay; reads probe the overlay, then
+ * the base. Copying an image shares the base and copies only the
+ * overlay, so handing a program's initial image to each Core costs
+ * O(writes since the last freeze), not O(image). The base is never
+ * mutated once frozen, which makes concurrent copies and reads from
+ * several threads safe (the shared_ptr refcount is atomic).
  */
 class MemoryImage
 {
@@ -37,16 +46,30 @@ class MemoryImage
     /** True if the word was explicitly written. */
     bool contains(Addr addr) const;
 
-    std::size_t size() const { return count; }
+    /** Distinct explicitly written words (base and overlay merged). */
+    std::size_t
+    size() const
+    {
+        return (base ? base->table.count : 0) + overlay.count - shadowed;
+    }
 
     /**
      * Order-independent content hash over every explicitly written
      * (address, word) pair. Two images with the same committed writes
-     * fingerprint identically whatever order the writes landed in —
-     * the architectural-memory half of the conformance oracle
+     * fingerprint identically whatever order the writes landed in,
+     * and however they split between base and overlay — the
+     * architectural-memory half of the conformance oracle
      * (src/harness/conformance.hh).
      */
     Word fingerprint() const;
+
+    /**
+     * Move the writes so far into the shared base (at most once per
+     * image; later writes go to a fresh overlay). The image reads the
+     * same before and after. ProgramBuilder::build() freezes every
+     * program's initial image.
+     */
+    void freeze();
 
     /** Deterministic background value for untouched memory. */
     static Word backgroundValue(Addr addr);
@@ -54,11 +77,9 @@ class MemoryImage
   private:
     /**
      * Flat open-addressing table (linear probe, power-of-two size).
-     * The image only ever inserts — no deletions, no tombstones —
-     * which makes this layout exact and keeps the three hot
-     * operations (the per-committed-store write, the load-miss read,
-     * and the whole-image copy into each Core's working memory) a
-     * probe or a memcpy instead of node-based hashing.
+     * A table only ever inserts — no deletions, no tombstones —
+     * which makes this layout exact and keeps the hot operations (the
+     * per-committed-store write and the load-miss read) a probe.
      *
      * Stored addresses are 8-aligned, so an odd address can serve as
      * the empty-slot sentinel.
@@ -67,6 +88,29 @@ class MemoryImage
     {
         Addr addr = emptySlot;
         Word value = 0;
+    };
+
+    struct Table
+    {
+        std::vector<Slot> slots; ///< Empty until the first insert.
+        std::size_t count = 0;
+
+        /** The word's slot, or nullptr if it was never written. */
+        const Slot *find(Addr aligned) const;
+
+        /** The word's slot, inserted (value 0) if new; sets
+         *  @p inserted accordingly. */
+        Slot &insert(Addr aligned, bool &inserted);
+
+        void grow(std::size_t min_capacity);
+    };
+
+    /** A frozen table with its fingerprint fold precomputed. */
+    struct Base
+    {
+        Table table;
+        Word sum = 0;
+        Word mix = 0;
     };
 
     static constexpr Addr emptySlot = 1;
@@ -82,11 +126,9 @@ class MemoryImage
                & mask;
     }
 
-    const Slot *findSlot(Addr aligned) const;
-    void grow(std::size_t min_capacity);
-
-    std::vector<Slot> slots; ///< Empty until the first write.
-    std::size_t count = 0;
+    std::shared_ptr<const Base> base; ///< Null until the first freeze.
+    Table overlay;
+    std::size_t shadowed = 0; ///< Overlay words also present in base.
 };
 
 /**
@@ -126,7 +168,11 @@ struct TenantEntry
     std::uint32_t pc = 0;
 };
 
-/** A complete runnable program: code, entry point, and initial memory. */
+/**
+ * A complete runnable program: code, entry point, and initial memory.
+ * Immutable once built by convention; copying one is cheap because
+ * the memory image's frozen base is shared, not duplicated.
+ */
 struct Program
 {
     std::vector<MicroOp> code;

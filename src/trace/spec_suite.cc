@@ -1,5 +1,8 @@
 #include "trace/spec_suite.hh"
 
+#include <map>
+#include <mutex>
+
 #include "common/logging.hh"
 #include "trace/kernels.hh"
 
@@ -21,6 +24,26 @@ SpecSuite::benchmarkNames()
 
 Workload
 SpecSuite::make(const std::string &name)
+{
+    static std::mutex mutex;
+    static std::map<std::string, Workload> memo;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        const auto it = memo.find(name);
+        if (it != memo.end())
+            return it->second;
+    }
+    // Build outside the lock, so an unknown name dies without holding
+    // it and a slow build does not stall lookups of other names. Two
+    // threads racing on one name build identical programs; the first
+    // insert wins.
+    Workload w = build(name);
+    std::lock_guard<std::mutex> lock(mutex);
+    return memo.emplace(name, std::move(w)).first->second;
+}
+
+Workload
+SpecSuite::build(const std::string &name)
 {
     Program p;
 

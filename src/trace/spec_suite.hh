@@ -35,8 +35,17 @@ class SpecSuite
     /** Names in the paper's presentation order (Figure 6). */
     static std::vector<std::string> benchmarkNames();
 
-    /** Build the stand-in for one benchmark (fatal on unknown name). */
+    /**
+     * The stand-in for one benchmark (fatal on unknown name). Built
+     * once per process on first use and memoized; each call returns a
+     * copy, which is cheap because the program's memory image shares
+     * its frozen base. Thread-safe.
+     */
     static Workload make(const std::string &name);
+
+    /** Build the stand-in afresh, bypassing the memo (what make()
+     *  runs on a name's first use). */
+    static Workload build(const std::string &name);
 
     /** Build every benchmark. */
     static std::vector<Workload> all();

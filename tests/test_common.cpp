@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <set>
+#include <vector>
 
 #include "common/config.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -95,6 +99,43 @@ TEST(Rng, GeometricMeanRoughlyMatches)
     for (int i = 0; i < n; ++i)
         sum += rng.geometric(4.0);
     EXPECT_NEAR(sum / n, 4.0, 0.25);
+}
+
+TEST(Ring, MatchesDequeThroughWrapAndGrowth)
+{
+    // Drive a Ring and a std::deque through the same pushes and pops
+    // at both ends, so the ring wraps its head and grows while
+    // wrapped, and compare contents both ways round after each step.
+    sb::Ring<int> ring;
+    std::deque<int> ref;
+    sb::Rng rng(7);
+    int next = 0;
+    for (int step = 0; step < 2000; ++step) {
+        const std::uint64_t action = rng.below(8);
+        if (action < 5 || ref.empty()) {
+            ring.push_back(next);
+            ref.push_back(next);
+            ++next;
+        } else if (action < 7) {
+            ring.pop_front();
+            ref.pop_front();
+        } else {
+            ring.pop_back();
+            ref.pop_back();
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+        ASSERT_TRUE(std::equal(ring.begin(), ring.end(), ref.begin()));
+        ASSERT_TRUE(
+            std::equal(ring.rbegin(), ring.rend(), ref.rbegin()));
+        if (!ref.empty()) {
+            ASSERT_EQ(ring.front(), ref.front());
+            ASSERT_EQ(ring.back(), ref.back());
+        }
+    }
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    ring.push_back(42);
+    EXPECT_EQ(ring.front(), 42);
 }
 
 TEST(Stats, CounterBasics)

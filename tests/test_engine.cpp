@@ -219,6 +219,28 @@ TEST(Engine, ThreadCountIndependent)
         expectSameOutcome(rs[i], rp[i]);
 }
 
+TEST(Engine, SharedImagesThreadCountIndependent)
+{
+    // The pointer-chase stand-ins carry the two largest memory
+    // images. Four workers race on the SpecSuite memo and write into
+    // overlays over one shared base; the parallel run goes first so
+    // it is the one that fills the memo, and it must match a serial
+    // run bit for bit.
+    std::vector<sb::RunSpec> specs;
+    for (const char *b : {"505.mcf", "520.omnetpp"}) {
+        for (sb::Scheme s : {sb::Scheme::Baseline, sb::Scheme::SttRename,
+                             sb::Scheme::Nda, sb::Scheme::DelayOnMiss})
+            specs.push_back(quickSpec(b, s));
+    }
+    sb::ExperimentEngine parallel(engineOpts(4));
+    sb::ExperimentEngine serial(engineOpts(1));
+    const auto rp = parallel.run(specs);
+    const auto rs = serial.run(specs);
+    ASSERT_EQ(rs.size(), rp.size());
+    for (std::size_t i = 0; i < rs.size(); ++i)
+        expectSameOutcome(rs[i], rp[i]);
+}
+
 TEST(Engine, CacheRoundTripIsBitExact)
 {
     const std::string dir =

@@ -131,6 +131,97 @@ TEST(MemoryImage, BackgroundIsDeterministicAndVaried)
     EXPECT_NE(a.read(0x5000), a.read(0x5008));
 }
 
+TEST(MemoryImage, OverlayOverFrozenBaseMatchesFlatImage)
+{
+    // The same writes, once all into a flat image and once split
+    // between a frozen base and an overlay that overwrites part of
+    // it, must read, count and fingerprint identically.
+    sb::MemoryImage flat;
+    sb::MemoryImage layered;
+    const auto expectSameView = [&] {
+        EXPECT_EQ(layered.size(), flat.size());
+        EXPECT_EQ(layered.fingerprint(), flat.fingerprint());
+        for (sb::Addr i = 0; i < 320; ++i) {
+            const sb::Addr a = 0x1000 + 8 * i;
+            EXPECT_EQ(layered.read(a), flat.read(a)) << i;
+            EXPECT_EQ(layered.contains(a), flat.contains(a)) << i;
+        }
+    };
+    for (sb::Addr i = 0; i < 200; ++i) {
+        flat.write(0x1000 + 8 * i, i);
+        layered.write(0x1000 + 8 * i, i);
+    }
+    layered.freeze();
+    expectSameView();
+
+    // 50 writes shadow base words, 100 land on fresh words.
+    for (sb::Addr i = 150; i < 300; ++i) {
+        flat.write(0x1000 + 8 * i, 7 * i + 1);
+        layered.write(0x1000 + 8 * i, 7 * i + 1);
+    }
+    EXPECT_EQ(flat.size(), 300u);
+    expectSameView();
+}
+
+TEST(MemoryImage, RewritingABaseWordWithItsValueChangesNothing)
+{
+    sb::MemoryImage mem;
+    mem.write(0x1000, 1);
+    mem.write(0x2000, 2);
+    mem.freeze();
+    const sb::Word before = mem.fingerprint();
+    mem.write(0x1000, 1);
+    EXPECT_EQ(mem.size(), 2u);
+    EXPECT_EQ(mem.fingerprint(), before);
+    mem.write(0x1000, 3);
+    EXPECT_NE(mem.fingerprint(), before);
+}
+
+TEST(MemoryImage, CopiesShareTheBaseButNotTheirWrites)
+{
+    sb::MemoryImage original;
+    original.write(0x1000, 1);
+    original.write(0x2000, 2);
+    original.freeze();
+    const sb::Word fp = original.fingerprint();
+
+    sb::MemoryImage a = original;
+    sb::MemoryImage b = original;
+    a.write(0x1000, 10);
+    a.write(0x3000, 30);
+    EXPECT_EQ(a.read(0x1000), 10u);
+    EXPECT_EQ(a.size(), 3u);
+    EXPECT_EQ(original.read(0x1000), 1u);
+    EXPECT_FALSE(original.contains(0x3000));
+    EXPECT_EQ(b.read(0x1000), 1u);
+    EXPECT_FALSE(b.contains(0x3000));
+
+    b.write(0x2000, 20);
+    EXPECT_EQ(a.read(0x2000), 2u);
+    EXPECT_EQ(original.read(0x2000), 2u);
+
+    // A copy of a copy carries its source's overlay.
+    const sb::MemoryImage c = a;
+    EXPECT_EQ(c.read(0x1000), 10u);
+    EXPECT_EQ(c.fingerprint(), a.fingerprint());
+
+    EXPECT_EQ(original.fingerprint(), fp);
+    EXPECT_EQ(original.size(), 2u);
+}
+
+TEST(ProgramBuilder, BuildFreezesTheImage)
+{
+    sb::ProgramBuilder b;
+    b.memory().write(0x1000, 5);
+    b.halt();
+    const sb::Program p = b.build();
+    sb::Program copy = p;
+    copy.memory.write(0x1000, 6);
+    EXPECT_EQ(p.memory.read(0x1000), 5u);
+    EXPECT_EQ(copy.memory.read(0x1000), 6u);
+    EXPECT_EQ(copy.memory.size(), 1u);
+}
+
 TEST(ProgramBuilder, BackwardBranchTargets)
 {
     sb::ProgramBuilder b;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "common/config.hh"
 #include "core/core.hh"
 #include "secure/factory.hh"
@@ -143,6 +145,63 @@ TEST(SpecSuite, HasAll22Benchmarks)
 {
     EXPECT_EQ(sb::SpecSuite::benchmarkNames().size(), 22u);
     EXPECT_EQ(sb::SpecSuite::all().size(), 22u);
+}
+
+TEST(SpecSuite, MemoizedMakeMatchesFreshBuild)
+{
+    for (const std::string &name : sb::SpecSuite::benchmarkNames()) {
+        const sb::Workload memo = sb::SpecSuite::make(name);
+        const sb::Workload fresh = sb::SpecSuite::build(name);
+        const sb::Program &a = memo.program;
+        const sb::Program &b = fresh.program;
+        EXPECT_EQ(memo.name, fresh.name);
+        ASSERT_EQ(a.code.size(), b.code.size()) << name;
+        for (std::size_t i = 0; i < a.code.size(); ++i) {
+            const sb::MicroOp &x = a.code[i];
+            const sb::MicroOp &y = b.code[i];
+            EXPECT_TRUE(x.op == y.op && x.dst == y.dst
+                        && x.src1 == y.src1 && x.src2 == y.src2
+                        && x.imm == y.imm && x.target == y.target)
+                << name << " @" << i;
+        }
+        EXPECT_EQ(a.entry, b.entry) << name;
+        ASSERT_EQ(a.secretRegions.size(), b.secretRegions.size()) << name;
+        for (std::size_t i = 0; i < a.secretRegions.size(); ++i) {
+            EXPECT_EQ(a.secretRegions[i].base, b.secretRegions[i].base);
+            EXPECT_EQ(a.secretRegions[i].bytes, b.secretRegions[i].bytes);
+            EXPECT_EQ(a.secretRegions[i].tenant,
+                      b.secretRegions[i].tenant);
+        }
+        EXPECT_EQ(a.memory.size(), b.memory.size()) << name;
+        EXPECT_EQ(a.memory.fingerprint(), b.memory.fingerprint()) << name;
+    }
+}
+
+TEST(SpecSuite, StoreHeavyRunsLeaveTheProgramUntouched)
+{
+    // Every Core writes committed stores into its own overlay over
+    // the program's shared base: two runs on one Program see the same
+    // initial memory, and neither the Program nor the memo moves.
+    const sb::Workload w = sb::SpecSuite::make("500.perlbench");
+    const sb::Word before = w.program.memory.fingerprint();
+    const auto run = [&w] {
+        sb::SchemeConfig scfg;
+        scfg.scheme = sb::Scheme::Baseline;
+        sb::Core core(sb::CoreConfig::mega(), scfg, sb::makeScheme(scfg),
+                      w.program);
+        const sb::RunResult r = core.run(20000, 4'000'000);
+        return std::make_tuple(r.cycles, r.instructions,
+                               core.memoryImage().size(),
+                               core.memoryImage().fingerprint());
+    };
+    const auto first = run();
+    const auto second = run();
+    EXPECT_EQ(first, second);
+    EXPECT_NE(std::get<3>(first), before); // The stores did land.
+    EXPECT_EQ(w.program.memory.fingerprint(), before);
+    EXPECT_EQ(sb::SpecSuite::make("500.perlbench")
+                  .program.memory.fingerprint(),
+              before);
 }
 
 TEST(SpecSuite, UnknownNameDies)

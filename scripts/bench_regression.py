@@ -1,186 +1,140 @@
 #!/usr/bin/env python3
-"""Bench-regression gate: diff the simulator throughput artifacts
-against the committed baselines.
+"""Parent-vs-change benchmark gate.
 
-    scripts/bench_regression.py [--build-dir build]
-                                [--baseline-dir bench/baselines]
-                                [--tolerance 0.20] [--update]
-                                [--min-speedup X] [--floor-only]
+    scripts/bench_regression.py PARENT_DIR
 
-Compares BENCH_simspeed.json (per-scheme simulated MIPS) against the
-committed baseline and exits nonzero when any scheme regressed by more
-than the tolerance (default 20%, override with --tolerance or the
-SB_BENCH_TOLERANCE environment variable). BENCH_gridspeed.json is
-diffed informationally: its cell accounting (requested / simulated /
-dedup / cache) is deterministic and drift there means the scenario
-grid itself changed, but its wall-clock depends on cache warmth so it
-never gates.
+PARENT_DIR is a checkout of the parent commit (for example
+`git worktree add ../parent HEAD^1`). The script runs
+`python3 sbbench/run.py --workload all --seed SEED --seconds SECONDS`
+in the parent checkout and in this tree, PAIRS times each, alternating
+which side goes first. Each checkout builds its own sbbench under its own
+.bench_build/.
 
---min-speedup X adds a *floor* gate: every scheme must reach at least
-X times its committed baseline MIPS. Unlike the tolerance gate (meant
-for the reference machine, so it is tight), the floor is meant to be
-loose enough to hold on any hardware — CI runners are slower than the
-reference machine, but a catastrophic engine regression (an order of
-magnitude, a pathological O(n) loop) still trips it.
-
---floor-only applies just the floor gate and skips both the tolerance
-gate and the gridspeed diff; together with `bench_simspeed --quick`
-this is the CI smoke configuration, which has no gridspeed artifact.
-
---update refreshes the committed baselines from the current build
-directory (run on the reference machine after an intentional
-performance change, and say so in the commit).
-
-Only the standard library is used; no third-party dependencies.
+It exits 1 when any of these holds:
+- a result line of this tree says "correct": false;
+- on a workload, this tree's share of failed cells (failed/attempted
+  over all its runs) is above the parent's;
+- on a workload, the median of an end-to-end metric is worse than the
+  parent's median by more than that metric's bound.
+Metric names, their `better` direction and `bound` come from
+BENCHMARK.json. It prints a parent/change median table and both
+sides' digest lines. Exits 2 when PARENT_DIR has no sbbench/run.py.
+Only the standard library is used.
 """
 
 import argparse
 import json
 import os
-import shutil
+import statistics
+import subprocess
 import sys
 
-SIMSPEED = "BENCH_simspeed.json"
-GRIDSPEED = "BENCH_gridspeed.json"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 5
+SECONDS = 5
+SEED = 1
 
 
-def load(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except FileNotFoundError:
-        sys.exit(f"bench_regression: missing {path}")
-    except json.JSONDecodeError as err:
-        sys.exit(f"bench_regression: malformed {path}: {err}")
+def run_side(root):
+    """One `--workload all` run: ({workload: result}, digest lines, exit)."""
+    # Each checkout builds in its own tree, never a shared target dir.
+    env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "sbbench", "run.py"),
+         "--workload", "all", "--seed", str(SEED),
+         "--seconds", str(SECONDS)],
+        cwd=root, env=env, stdout=subprocess.PIPE, text=True)
+    results, digests, workload = {}, [], None
+    for line in proc.stdout.splitlines():
+        if line.startswith("digest "):
+            workload = line.split()[1]
+            digests.append(line)
+        elif line.startswith("{") and workload:
+            results[workload] = json.loads(line)
+    return results, digests, proc.returncode
 
 
-def diff_simspeed(baseline, current, tolerance, min_speedup=None,
-                  floor_only=False):
-    base_schemes = {s["name"]: s for s in baseline.get("schemes", [])}
-    cur_schemes = {s["name"]: s for s in current.get("schemes", [])}
-    failures = []
-
-    if floor_only:
-        gate = f"gate: MIPS >= {min_speedup:.2f}x baseline"
-    elif min_speedup is not None:
-        gate = (f"gate: MIPS within -{tolerance:.0%}, "
-                f"floor {min_speedup:.2f}x")
-    else:
-        gate = f"gate: MIPS within -{tolerance:.0%}"
-    print(f"--- {SIMSPEED} ({gate}) ---")
-    print(f"{'scheme':<12} {'base MIPS':>10} {'now MIPS':>10} {'delta':>8}")
-    for name, base in base_schemes.items():
-        cur = cur_schemes.get(name)
-        if cur is None:
-            failures.append(f"scheme '{name}' missing from current run")
-            continue
-        base_mips = float(base["mips"])
-        cur_mips = float(cur["mips"])
-        delta = (cur_mips - base_mips) / base_mips if base_mips else 0.0
-        marker = ""
-        if (not floor_only and base_mips
-                and cur_mips < base_mips * (1.0 - tolerance)):
-            failures.append(
-                f"{name}: {cur_mips:.3f} MIPS vs baseline "
-                f"{base_mips:.3f} ({delta:+.1%})"
-            )
-            marker = "  <-- REGRESSION"
-        if (min_speedup is not None and base_mips
-                and cur_mips < base_mips * min_speedup):
-            failures.append(
-                f"{name}: {cur_mips:.3f} MIPS below the floor of "
-                f"{min_speedup:.2f}x baseline "
-                f"({base_mips * min_speedup:.3f})"
-            )
-            marker = "  <-- BELOW FLOOR"
-        print(f"{name:<12} {base_mips:>10.3f} {cur_mips:>10.3f} "
-              f"{delta:>+7.1%}{marker}")
-    for name in cur_schemes.keys() - base_schemes.keys():
-        print(f"{name:<12} {'(new)':>10} "
-              f"{float(cur_schemes[name]['mips']):>10.3f}")
-    return failures
-
-
-def diff_gridspeed(baseline, current):
-    print(f"\n--- {GRIDSPEED} (informational) ---")
-    keys = ["cells_requested", "cells_simulated", "cells_from_dedup",
-            "cells_from_cache"]
-    drifted = False
-    for key in keys:
-        base_v = baseline.get(key)
-        cur_v = current.get(key)
-        note = ""
-        # The *requested* cell count is a property of the scenario
-        # registry, not of cache warmth; a change there means the grid
-        # itself changed shape and the baseline wants refreshing.
-        if key == "cells_requested" and base_v != cur_v:
-            note = "  <-- grid shape changed (refresh baseline?)"
-            drifted = True
-        print(f"{key:<20} base={base_v}  now={cur_v}{note}")
-    print(f"{'wall_seconds':<20} base={baseline.get('wall_seconds')}  "
-          f"now={current.get('wall_seconds')} (cache-warmth dependent)")
-    return drifted
+def fail_share(results):
+    attempted = sum(r["attempted"] for r in results)
+    return sum(r["failed"] for r in results) / attempted if attempted else 0.0
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--build-dir", default="build")
-    parser.add_argument("--baseline-dir", default="bench/baselines")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=float(os.environ.get("SB_BENCH_TOLERANCE", "0.20")),
-    )
-    parser.add_argument("--update", action="store_true",
-                        help="refresh the committed baselines")
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="floor gate: each scheme must reach X times its baseline "
-             "MIPS (machine-tolerant catastrophic-regression check)",
-    )
-    parser.add_argument(
-        "--floor-only",
-        action="store_true",
-        help="apply only the --min-speedup floor; skip the tolerance "
-             "gate and the gridspeed diff (CI smoke mode)",
-    )
-    args = parser.parse_args()
-    if args.floor_only and args.min_speedup is None:
-        parser.error("--floor-only requires --min-speedup")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_dir", help="checkout of the parent commit")
+    parent_dir = os.path.abspath(parser.parse_args().parent_dir)
+    if not os.path.isfile(os.path.join(parent_dir, "sbbench", "run.py")):
+        print("bench_regression: no sbbench/run.py under", parent_dir,
+              file=sys.stderr)
+        return 2
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    workloads = [w["name"] for w in spec["workloads"]]
 
-    if args.update:
-        os.makedirs(args.baseline_dir, exist_ok=True)
-        for name in (SIMSPEED, GRIDSPEED):
-            src = os.path.join(args.build_dir, name)
-            if not os.path.exists(src):
-                sys.exit(f"bench_regression: cannot update, missing {src}")
-            shutil.copyfile(src, os.path.join(args.baseline_dir, name))
-            print(f"updated {args.baseline_dir}/{name}")
-        return
+    sides = {"parent": parent_dir, "change": ROOT}
+    runs = {side: [] for side in sides}
+    digests = {side: {} for side in sides}
+    failures = []
+    for pair in range(PAIRS):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            print("pair %d/%d: %s" % (pair + 1, PAIRS, side), flush=True)
+            results, lines, code = run_side(sides[side])
+            for w in workloads:
+                if w not in results:
+                    failures.append("%s: %s printed no result (run.py "
+                                    "exited %d)" % (side, w, code))
+            runs[side].append(results)
+            digests[side].update(dict.fromkeys(lines))
 
-    failures = diff_simspeed(
-        load(os.path.join(args.baseline_dir, SIMSPEED)),
-        load(os.path.join(args.build_dir, SIMSPEED)),
-        args.tolerance,
-        min_speedup=args.min_speedup,
-        floor_only=args.floor_only,
-    )
-    if not args.floor_only:
-        diff_gridspeed(
-            load(os.path.join(args.baseline_dir, GRIDSPEED)),
-            load(os.path.join(args.build_dir, GRIDSPEED)),
-        )
+    print("\n%-13s %-12s %12s %12s %8s %7s" %
+          ("workload", "metric", "parent", "change", "delta", "bound"))
+    for w in workloads:
+        results = {side: [run[w] for run in runs[side] if w in run]
+                   for side in sides}
+        if not results["parent"] or not results["change"]:
+            continue
+        for i, r in enumerate(results["change"]):
+            if not r["correct"]:
+                failures.append("change: %s correctness gate failed "
+                                "(run %d)" % (w, i + 1))
+        share = {side: fail_share(results[side]) for side in sides}
+        if share["change"] > share["parent"]:
+            failures.append("%s fail share: parent %.4g -> change %.4g" %
+                            (w, share["parent"], share["change"]))
+        for m in spec["end_to_end"]:
+            name = m["name"]
+            values = {side: [r["metrics"][name]["value"]
+                             for r in results[side] if name in r["metrics"]]
+                      for side in sides}
+            # Only a benchmark change adds or drops a metric;
+            # sbbench/test_bench.py checks this tree prints every one.
+            if not values["parent"] or not values["change"]:
+                continue
+            med = {side: statistics.median(values[side]) for side in sides}
+            delta = med["change"] / med["parent"] - 1
+            worse = -delta if m["better"] == "higher" else delta
+            print("%-13s %-12s %12.4g %12.4g %+7.1f%% %6.0f%%" %
+                  (w, name, med["parent"], med["change"], 100 * delta,
+                   100 * m["bound"]))
+            if worse > m["bound"]:
+                failures.append(
+                    "%s %s: parent %.4g -> change %.4g (%+.1f%%, bound "
+                    "%.0f%%, %s is better)" %
+                    (w, name, med["parent"], med["change"], 100 * delta,
+                     100 * m["bound"], m["better"]))
 
-    if failures:
-        print("\nFAIL: simulator throughput gate:")
-        for failure in failures:
-            print(f"  - {failure}")
-        sys.exit(1)
-    print("\nbench regression gate: PASS")
+    print()
+    for side in sides:
+        for line in digests[side]:
+            print("%s: %s" % (side, line))
+
+    for f in failures:
+        print("FAIL:", f)
+    print("bench_regression: %s (%d pairs, seed %d, %g s per workload)" %
+          ("FAIL" if failures else "PASS", PAIRS, SEED, SECONDS))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

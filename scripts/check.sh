@@ -5,7 +5,8 @@
 #   scripts/check.sh           # Release build + full test suite
 #   scripts/check.sh --quick   # Fast-label tests only (inner loop)
 #   scripts/check.sh --asan    # Sanitizer build + full test suite
-#   scripts/check.sh --bench   # Also run sim-speed + the sbsim grid
+#   scripts/check.sh --bench   # Also run the sbbench correctness
+#                              # gate (every workload) + `sbsim all`
 #   scripts/check.sh --verify  # Also run the Spectre gadget battery
 #   scripts/check.sh --contracts # Also judge the battery under the
 #                              # constant-time contract + run the
@@ -25,7 +26,7 @@
 # SB_JOBS bounds simulation worker threads (tests and sbsim).
 # Flags compose: e.g. `check.sh --asan --verify`. CI's gcc-release
 # leg runs `--verify --contracts --fuzz --mitigations --shards
-# --tenants` and uploads the JSON reports each block leaves in the
+# --tenants --bench` and uploads the reports each block leaves in the
 # build directory.
 #
 # Every optional block runs with its exit status checked explicitly:
@@ -180,18 +181,23 @@ if [ "$run_mitigations" = 1 ]; then
 fi
 
 if [ "$run_bench" = 1 ]; then
-    if (cd "$build_dir" && ./bench_simspeed); then
-        echo "sim-speed results: $build_dir/BENCH_simspeed.json"
+    # The benchmark's host-independent correctness gate: one pass of
+    # every sbbench workload (its own Release build in .bench_build/),
+    # exit 1 on a wrong, missing or non-reproducible cell. Speed is
+    # gated against the parent commit by scripts/bench_regression.py.
+    if python3 sbbench/run.py --workload all --seed 1 --seconds 1 \
+        > "$build_dir/sbbench.log"; then
+        grep '^digest ' "$build_dir/sbbench.log" || true
+        echo "sbbench gate: PASS (log: $build_dir/sbbench.log)"
     else
-        echo "FAIL: bench_simspeed" >&2
+        echo "FAIL: sbbench correctness gate (log: $build_dir/sbbench.log)" >&2
         status=1
     fi
     # Full grid through the scenario engine: dedup + result cache make
-    # a warm rerun near-instant; BENCH_gridspeed.json tracks grid
-    # throughput across PRs next to BENCH_simspeed.json.
+    # a warm rerun near-instant; the log ends with the grid summary.
     if (cd "$build_dir" && ./sbsim all --cache-dir .sbsim-cache > sbsim_all.log); then
         tail -n 12 "$build_dir/sbsim_all.log"
-        echo "grid-speed results: $build_dir/BENCH_gridspeed.json (full report: $build_dir/sbsim_all.log)"
+        echo "full report: $build_dir/sbsim_all.log"
     else
         echo "FAIL: sbsim all (log: $build_dir/sbsim_all.log)" >&2
         status=1

@@ -61,10 +61,8 @@
  * All requested scenarios are collected into one ExperimentEngine
  * batch, so overlapping grid cells are simulated once (in-batch
  * dedup) and persist across invocations (content-addressed cache).
- * `sbsim all` additionally writes BENCH_gridspeed.json with the grid
- * throughput accounting (cells requested / simulated / deduped /
- * cached, wall-clock) so the perf trajectory tracks grid cost next
- * to BENCH_simspeed.json.
+ * Every run ends with a `--- grid summary ---` block: cells
+ * requested / simulated / deduped / cached and wall-clock.
  *
  * `sbsim verify` runs the Spectre gadget battery (the "security"
  * scenario's cells) and folds the paired secret-flipped runs into a
@@ -309,39 +307,6 @@ writeVerifyJson(const sb::VerifyMatrix &matrix)
     std::fprintf(f, "%s\n", sb::toJson(matrix).dump().c_str());
     std::fclose(f);
     std::printf("wrote SBSIM_verify.json\n");
-}
-
-void
-writeGridspeedJson(const std::vector<std::string> &scenarios,
-                   const sb::ExperimentEngine &engine)
-{
-    const sb::EngineStats &st = engine.stats();
-    sb::Json doc = sb::Json::object();
-    doc.set("bench", sb::Json::str("gridspeed"));
-    sb::Json names = sb::Json::array();
-    for (const auto &n : scenarios)
-        names.push(sb::Json::str(n));
-    doc.set("scenarios", std::move(names));
-    doc.set("jobs", sb::Json::num(std::uint64_t(engine.jobs())));
-    doc.set("cells_requested", sb::Json::num(st.requested));
-    doc.set("cells_simulated", sb::Json::num(st.simulated));
-    doc.set("cells_from_dedup", sb::Json::num(st.dedupHits));
-    doc.set("cells_from_cache", sb::Json::num(st.cacheHits));
-    doc.set("wall_seconds", sb::Json::num(st.wallSeconds));
-    doc.set("workers_spawned", sb::Json::num(st.workersSpawned));
-    doc.set("worker_crashes", sb::Json::num(st.shardCrashes));
-    doc.set("worker_hangs", sb::Json::num(st.shardHangs));
-    doc.set("cell_retries", sb::Json::num(st.shardRetries));
-    doc.set("cells_stolen", sb::Json::num(st.shardStolen));
-
-    std::FILE *f = std::fopen("BENCH_gridspeed.json", "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open BENCH_gridspeed.json\n");
-        return;
-    }
-    std::fprintf(f, "%s\n", doc.dump().c_str());
-    std::fclose(f);
-    std::printf("wrote BENCH_gridspeed.json\n");
 }
 
 void
@@ -746,8 +711,6 @@ main(int argc, char **argv)
     for (const std::string &key : st.quarantinedKeys)
         std::printf("quarantined cell:  %s\n", key.c_str());
 
-    if (command == "all")
-        writeGridspeedJson(names, engine);
     if (st.interrupted) {
         std::fprintf(stderr,
                      "sbsim: interrupted; partial results "
